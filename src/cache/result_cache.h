@@ -84,11 +84,14 @@ inline bool MayEmbed(const GraphFeatures& query, const GraphFeatures& data) {
 // process-wide. Read once on first use.
 bool CacheEnabledByEnv();
 
+// Lock shards of every serving cache (shard server and router alike).
+inline constexpr uint32_t kCacheShards = 8;
+
 struct CacheConfig {
   bool enabled = true;
   // Total byte budget across all shards; 0 disables the cache.
   size_t max_bytes = 64ull << 20;
-  uint32_t shards = 8;
+  uint32_t shards = kCacheShards;
 };
 
 struct CacheKey {

@@ -1,11 +1,6 @@
 #include "router/router_server.h"
 
-#include <poll.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "cache/canonical.h"
@@ -15,172 +10,23 @@
 
 namespace sgq {
 
-namespace {
-
-// Stop-flag poll cadence for idle client connections (matches server.cc).
-constexpr int kConnectionPollMs = 100;
-
-bool ReadFileToString(const std::string& path, std::string* contents,
-                      std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    *error = "cannot open " + path;
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *contents = buffer.str();
-  return true;
-}
-
-// "OK reloaded <n> graphs" -> n. False for any other line.
-bool ParseReloadedCount(std::string_view line, uint64_t* count) {
-  constexpr std::string_view kPrefix = "OK reloaded ";
-  if (line.rfind(kPrefix, 0) != 0) return false;
-  std::string_view rest = line.substr(kPrefix.size());
-  const size_t space = rest.find(' ');
-  if (space == std::string_view::npos || rest.substr(space + 1) != "graphs") {
-    return false;
-  }
-  rest = rest.substr(0, space);
-  if (rest.empty() || rest.size() > 18) return false;
-  uint64_t value = 0;
-  for (const char c : rest) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *count = value;
-  return true;
-}
-
-// Pulls "next_global_id":<n> out of a shard's flat stats json (it lives in
-// the nested "update" object; the key is unique within the document).
-bool ParseNextGlobalId(std::string_view json, uint64_t* next) {
-  constexpr std::string_view kKey = "\"next_global_id\":";
-  const size_t pos = json.find(kKey);
-  if (pos == std::string_view::npos) return false;
-  size_t i = pos + kKey.size();
-  if (i >= json.size() || json[i] < '0' || json[i] > '9') return false;
-  uint64_t value = 0;
-  while (i < json.size() && json[i] >= '0' && json[i] <= '9') {
-    value = value * 10 + static_cast<uint64_t>(json[i] - '0');
-    ++i;
-  }
-  *next = value;
-  return true;
-}
-
-}  // namespace
-
 RouterServer::RouterServer(RouterServerConfig server_config,
                            RouterConfig router_config)
     : config_(std::move(server_config)),
-      scatter_(std::move(router_config)) {
+      scatter_(std::move(router_config)),
+      line_(config_, this) {
   CacheConfig cache_config;
   cache_config.enabled = config_.cache_mb > 0;
   cache_config.max_bytes = static_cast<size_t>(config_.cache_mb) << 20;
-  cache_config.shards = std::max<uint32_t>(1, config_.cache_shards);
   cache_ = std::make_unique<ResultCache>(cache_config);
 }
 
-RouterServer::~RouterServer() {
-  RequestStop();
-  if (started_) Wait();
-}
-
 bool RouterServer::Start(std::string* error) {
-  if (started_) {
-    *error = "router already started";
-    return false;
-  }
-  if (config_.unix_path.empty() && config_.port < 0) {
-    *error = "set RouterServerConfig::unix_path or RouterServerConfig::port";
-    return false;
-  }
   if (scatter_.config().shards.empty()) {
     *error = "no shard endpoints configured";
     return false;
   }
-  if (!config_.unix_path.empty()) {
-    listener_ = ListenUnix(config_.unix_path, error);
-  } else {
-    listener_ = ListenTcp(config_.host, static_cast<uint16_t>(config_.port),
-                          &port_, error);
-  }
-  if (!listener_.valid()) return false;
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    *error = "pipe() failed";
-    listener_.Reset();
-    return false;
-  }
-  stop_pipe_rd_ = UniqueFd(pipe_fds[0]);
-  stop_pipe_wr_ = UniqueFd(pipe_fds[1]);
-  started_ = true;
-  accept_thread_ = std::thread(&RouterServer::AcceptLoop, this);
-  return true;
-}
-
-void RouterServer::RequestStop() {
-  stopping_.store(true, std::memory_order_release);
-  if (stop_pipe_wr_.valid()) {
-    const char byte = 's';
-    [[maybe_unused]] const ssize_t n = ::write(stop_pipe_wr_.get(), &byte, 1);
-  }
-}
-
-void RouterServer::Wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-}
-
-void RouterServer::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd fds[2];
-    fds[0] = {listener_.get(), POLLIN, 0};
-    fds[1] = {stop_pipe_rd_.get(), POLLIN, 0};
-    const int rc = ::poll(fds, 2, -1);
-    if (rc < 0) continue;  // EINTR
-    if (fds[1].revents != 0 || stopping_.load(std::memory_order_acquire)) {
-      break;
-    }
-    if (fds[0].revents == 0) continue;
-    UniqueFd conn = AcceptConnection(listener_.get());
-    if (!conn.valid()) continue;
-    connections_.emplace_back(&RouterServer::HandleConnection, this,
-                              std::move(conn));
-  }
-  listener_.Reset();
-  for (std::thread& connection : connections_) connection.join();
-  connections_.clear();
-  if (!config_.unix_path.empty()) ::unlink(config_.unix_path.c_str());
-}
-
-void RouterServer::HandleConnection(UniqueFd fd) {
-  RequestParser parser(config_.max_payload_bytes);
-  char buf[4096];
-  for (;;) {
-    Request request;
-    std::string parse_error;
-    const RequestParser::Status status = parser.Next(&request, &parse_error);
-    if (status == RequestParser::Status::kReady) {
-      if (!Dispatch(fd.get(), request)) return;
-      continue;
-    }
-    if (status == RequestParser::Status::kError) {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      WriteAll(fd.get(), FormatBadRequestResponse(parse_error));
-      return;  // protocol errors are terminal
-    }
-    const int ready = PollReadable(fd.get(), kConnectionPollMs);
-    if (ready < 0) return;
-    if (ready == 0) {
-      if (stopping_.load(std::memory_order_acquire)) return;
-      continue;
-    }
-    const ssize_t n = ReadSome(fd.get(), buf, sizeof(buf));
-    if (n <= 0) return;
-    parser.Feed({buf, static_cast<size_t>(n)});
-  }
+  return line_.Start(error);
 }
 
 bool RouterServer::Dispatch(int fd, const Request& request) {
@@ -214,7 +60,7 @@ bool RouterServer::DispatchQuery(int fd, const Request& request) {
   // the graph inline, so they need no shared view of the path.
   if (!request.file_ref.empty() &&
       !ReadFileToString(request.file_ref, &text, &error)) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
+    CountBadRequest();
     return WriteAll(fd, FormatBadRequestResponse(error));
   }
 
@@ -299,14 +145,14 @@ bool RouterServer::EnsureNextGlobalIdLocked(std::string* error) {
       return false;
     }
     const ResponseHead head = ParseResponseHead(replies[i].line);
-    uint64_t shard_next = 0;
+    GraphId shard_next = 0;
     if (head.kind != ResponseHead::Kind::kOk ||
         !ParseNextGlobalId(head.body, &shard_next)) {
       *error = "shard " + std::to_string(i) +
-               ": stats reply carries no next_global_id";
+               ": stats reply carries no valid next_global_id";
       return false;
     }
-    next = std::max(next, static_cast<GraphId>(shard_next));
+    next = std::max(next, shard_next);
   }
   next_global_id_ = next;
   next_global_id_known_ = true;
@@ -349,11 +195,11 @@ bool RouterServer::DispatchMutation(int fd, const Request& request) {
   std::string error;
   if (!request.file_ref.empty() &&
       !ReadFileToString(request.file_ref, &text, &error)) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
+    CountBadRequest();
     return WriteAll(fd, FormatBadRequestResponse(error));
   }
   if (request.has_graph_id) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
+    CountBadRequest();
     return WriteAll(fd, FormatBadRequestResponse(
                             "the router assigns graph ids; resend the ADD "
                             "without ID"));
@@ -362,7 +208,7 @@ bool RouterServer::DispatchMutation(int fd, const Request& request) {
   // and the features drive the cache purge below.
   Graph graph;
   if (!ParseSingleGraph(text, &graph, &error)) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
+    CountBadRequest();
     return WriteAll(fd, FormatBadRequestResponse(error));
   }
   if (!EnsureNextGlobalIdLocked(&error)) {

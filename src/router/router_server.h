@@ -27,8 +27,10 @@
 // two concurrent ADDs racing to the same shard must not reorder on the
 // wire.
 //
-// The serve loop lives in the library so tests can run router + shards
-// in-process over Unix sockets, including under TSan.
+// The serve loop is a LineServer (service/line_server.h) shared with
+// sgq_server; this class is its Dispatcher. It lives in the library so
+// tests can run router + shards in-process over Unix sockets, including
+// under TSan.
 #ifndef SGQ_ROUTER_ROUTER_SERVER_H_
 #define SGQ_ROUTER_ROUTER_SERVER_H_
 
@@ -37,37 +39,25 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "cache/result_cache.h"
 #include "router/scatter_gather.h"
-#include "service/protocol.h"
-#include "util/socket.h"
+#include "service/line_server.h"
 
 namespace sgq {
 
-struct RouterServerConfig {
-  // Exactly one of the two, as in ServerConfig.
-  std::string unix_path;
-  std::string host = "127.0.0.1";
-  int port = -1;
-
-  size_t max_payload_bytes = kDefaultMaxPayloadBytes;
-
+struct RouterServerConfig : ListenConfig {
   // Router-side result cache over merged full-query results (0 disables;
   // the SGQ_CACHE environment variable can force it off regardless). Only
   // complete, fully-healthy, non-streamed batch results are stored —
   // LIMIT requests are served from a full cached result by prefix, and a
   // successful RELOAD or CACHE CLEAR broadcast invalidates everything.
   uint32_t cache_mb = 0;
-  uint32_t cache_shards = 8;
 };
 
-class RouterServer {
+class RouterServer : private Dispatcher {
  public:
   RouterServer(RouterServerConfig server_config, RouterConfig router_config);
-  ~RouterServer();
 
   RouterServer(const RouterServer&) = delete;
   RouterServer& operator=(const RouterServer&) = delete;
@@ -77,20 +67,24 @@ class RouterServer {
   // the fleet can come up in any order.
   bool Start(std::string* error);
 
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return line_.port(); }
 
   // Async-signal-safe graceful stop; idempotent.
-  void RequestStop();
+  void RequestStop() { line_.RequestStop(); }
 
-  // Blocks until fully stopped. Call once, after Start succeeded.
-  void Wait();
+  // Blocks until fully stopped.
+  void Wait() { line_.Wait(); }
 
   RouterStatsSnapshot Stats() const { return scatter_.Stats(); }
 
  private:
-  void AcceptLoop();
-  void HandleConnection(UniqueFd fd);
-  bool Dispatch(int fd, const Request& request);
+  bool Dispatch(int fd, const Request& request) override;
+  void CountBadRequest() override {
+    bad_requests_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Nothing to drain: every routed request completes on its connection
+  // thread, which the LineServer joins.
+  void Drain() override {}
   bool DispatchQuery(int fd, const Request& request);
   bool DispatchStats(int fd);
   bool DispatchBroadcast(int fd, const Request& request);
@@ -110,13 +104,9 @@ class RouterServer {
   // hash), so relabeled-isomorphic queries hit the same merged result.
   std::unique_ptr<ResultCache> cache_;
   std::atomic<uint64_t> bad_requests_{0};  // codec failures, for STATS
-  UniqueFd listener_;
-  UniqueFd stop_pipe_rd_, stop_pipe_wr_;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  std::vector<std::thread> connections_;  // accept thread only
-  uint16_t port_ = 0;
-  bool started_ = false;
+  // Declared last: its destructor stops serving before the state above is
+  // destroyed.
+  LineServer line_;
 };
 
 }  // namespace sgq

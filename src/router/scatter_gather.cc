@@ -4,7 +4,9 @@
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <memory>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -120,10 +122,22 @@ ScatterGather::ScatterGather(RouterConfig config)
   stats_.shards_total = static_cast<uint32_t>(config_.shards.size());
 }
 
+void ScatterGather::ForEachShard(
+    const std::function<void(size_t)>& per_shard,
+    const std::function<void()>& meanwhile) {
+  std::vector<std::thread> threads;
+  threads.reserve(config_.shards.size());
+  for (size_t shard = 0; shard < config_.shards.size(); ++shard) {
+    threads.emplace_back(std::cref(per_shard), shard);
+  }
+  if (meanwhile) meanwhile();
+  for (std::thread& thread : threads) thread.join();
+}
+
 bool ScatterGather::WithConnection(
     size_t shard, const std::string& request,
     const std::function<bool(ShardConnection*, std::string*)>& read,
-    std::string* error) {
+    std::string* error, const std::function<bool()>& may_retry) {
   for (int attempt = 0; attempt < 2; ++attempt) {
     std::unique_ptr<ShardConnection> connection =
         attempt == 0 ? pool_.Checkout(shard)
@@ -138,20 +152,120 @@ bool ScatterGather::WithConnection(
     // A reused pooled socket may simply have gone stale (shard restarted
     // between requests); one fresh attempt distinguishes that from a down
     // shard. Fresh-connection failures are final.
-    if (!reused) return false;
+    if (!reused || (may_retry && !may_retry())) return false;
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.retries;
   }
   return false;
 }
 
+// Shared between the per-shard reader threads (producers) and the calling
+// thread (the merger): per-shard ascending id queues plus a done flag each.
+// An id is safe to forward once every not-done shard has a buffered id —
+// the smallest front is then the global minimum of everything still to come.
+struct ScatterGather::StreamMerge {
+  explicit StreamMerge(size_t shards) : pending(shards), done(shards, 0) {}
+
+  void Push(size_t shard, std::span<const GraphId> ids) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      pending[shard].insert(pending[shard].end(), ids.begin(), ids.end());
+    }
+    cv.notify_all();
+  }
+
+  void Finish(size_t shard, bool ok) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      // A failed shard's reply is excluded from the merged result, so drop
+      // whatever it streamed but the merger has not forwarded yet
+      // (already-forwarded ids cannot be recalled — the caller's terminal
+      // line carries the failure).
+      if (!ok) pending[shard].clear();
+      done[shard] = 1;
+    }
+    cv.notify_all();
+  }
+
+  // The merger, on the calling thread: repeatedly drains every id that is
+  // already order-safe into a batch, forwards the batch without holding
+  // the merge lock (the sink writes to a socket), and sleeps only when
+  // some not-done shard has an empty buffer. A shard with no answers sends
+  // nothing until its terminal line, so time-to-first-forwarded-id is
+  // bounded by the slowest shard's first flush — the price of strict
+  // global ordering. Returns once every shard is done and drained.
+  void Forward(uint64_t limit, ResultSink* sink) {
+    const size_t num_shards = pending.size();
+    uint64_t emitted = 0;
+    bool sink_open = true;
+    std::vector<GraphId> batch;
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
+      batch.clear();
+      bool blocked = false;
+      for (;;) {
+        size_t best = num_shards;
+        blocked = false;
+        for (size_t i = 0; i < num_shards; ++i) {
+          if (!pending[i].empty()) {
+            if (best == num_shards ||
+                pending[i].front() < pending[best].front()) {
+              best = i;
+            }
+          } else if (!done[i]) {
+            blocked = true;
+            break;
+          }
+        }
+        if (blocked || best == num_shards) break;
+        batch.push_back(pending[best].front());
+        pending[best].pop_front();
+      }
+      if (!batch.empty()) {
+        lock.unlock();
+        for (const GraphId id : batch) {
+          if (!sink_open || (limit > 0 && emitted >= limit)) break;
+          ++emitted;
+          if (!sink->OnAnswer(id)) sink_open = false;
+        }
+        sink->FlushHint();
+        lock.lock();
+        continue;
+      }
+      if (!blocked) return;  // every shard done and every buffer drained
+      cv.wait(lock);
+    }
+  }
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::deque<GraphId>> pending;
+  std::vector<char> done;
+};
+
 ShardQueryReply ScatterGather::QueryShard(size_t shard,
                                           const std::string& request,
-                                          Deadline deadline) {
+                                          Deadline deadline,
+                                          StreamMerge* merge) {
   ShardQueryReply reply;
+  bool streamed_any = false;
   const auto read = [&](ShardConnection* connection, std::string* error) {
+    reply.ids.clear();
     std::string line;
-    if (!connection->ReadLine(deadline, &line, error)) return false;
+    for (;;) {
+      if (!connection->ReadLine(deadline, &line, error)) return false;
+      if (merge == nullptr || line.rfind("IDS", 0) != 0) break;
+      const size_t before = reply.ids.size();
+      if (!ParseIdsChunk(line, &reply.ids)) {
+        *error = "bad IDS chunk: " + line;
+        return false;
+      }
+      if (reply.ids.size() > before) {
+        streamed_any = true;
+        merge->Push(shard,
+                    std::span<const GraphId>(reply.ids).subspan(before));
+      }
+    }
     const ResponseHead head = ParseResponseHead(line);
     switch (head.kind) {
       case ResponseHead::Kind::kOk:
@@ -162,8 +276,9 @@ ShardQueryReply ScatterGather::QueryShard(size_t shard,
         *error = head.body.empty() ? "(no detail)" : head.body;
         return false;
       case ResponseHead::Kind::kBadRequest:
-        // An old server rejecting the LIMIT/IDS grammar lands here; the
-        // message makes the version mismatch visible instead of a desync.
+        // An old server rejecting the LIMIT/IDS/STREAM grammar lands here;
+        // the message makes the version mismatch visible instead of a
+        // desync.
         *error = "shard rejected request: " + head.body;
         return false;
       default:
@@ -178,21 +293,32 @@ ShardQueryReply ScatterGather::QueryShard(size_t shard,
       *error = "unparseable shard stats: " + head.body;
       return false;
     }
-    std::string ids_line;
-    if (!connection->ReadLine(deadline, &ids_line, error)) return false;
-    if (!ParseIdsLine(ids_line, head.num_answers, &reply.ids)) {
-      *error = "bad IDS line (expected " +
-               std::to_string(head.num_answers) + " ids): " + ids_line;
-      return false;
+    if (merge != nullptr) {
+      if (head.num_answers != reply.ids.size()) {
+        *error = "streamed " + std::to_string(reply.ids.size()) +
+                 " ids but terminal line reported " +
+                 std::to_string(head.num_answers);
+        return false;
+      }
+    } else {
+      std::string ids_line;
+      if (!connection->ReadLine(deadline, &ids_line, error)) return false;
+      if (!ParseIdsLine(ids_line, head.num_answers, &reply.ids)) {
+        *error = "bad IDS line (expected " +
+                 std::to_string(head.num_answers) + " ids): " + ids_line;
+        return false;
+      }
     }
     reply.timed_out = head.kind == ResponseHead::Kind::kTimeout;
     return true;
   };
+  // A streaming retry would replay already-merged (possibly already
+  // client-visible) ids, so a stale socket is retried only while nothing
+  // has been pushed to the merge.
   std::string error;
-  if (WithConnection(shard, request, read, &error)) {
-    reply.ok = true;
-  } else {
-    reply.ok = false;
+  reply.ok = WithConnection(shard, request, read, &error,
+                            [&] { return !streamed_any; });
+  if (!reply.ok) {
     reply.error = error.empty()
                       ? pool_.endpoint(shard).ToString() + ": failed"
                       : error;
@@ -201,7 +327,8 @@ ShardQueryReply ScatterGather::QueryShard(size_t shard,
 }
 
 MergedQuery ScatterGather::Query(const std::string& graph_text,
-                                 double timeout_seconds, uint64_t limit) {
+                                 double timeout_seconds, uint64_t limit,
+                                 ResultSink* sink) {
   const double timeout = timeout_seconds > 0
                              ? timeout_seconds
                              : config_.default_timeout_seconds;
@@ -215,32 +342,30 @@ MergedQuery ScatterGather::Query(const std::string& graph_text,
   }
 
   const size_t num_shards = config_.shards.size();
+  const char* framing = sink != nullptr ? "STREAM" : "IDS";
+  std::unique_ptr<StreamMerge> merge;
+  if (sink != nullptr) merge = std::make_unique<StreamMerge>(num_shards);
   std::vector<ShardQueryReply> replies(num_shards);
-  std::vector<std::thread> threads;
-  threads.reserve(num_shards);
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    threads.emplace_back([this, shard, &graph_text, limit, deadline,
-                          &replies] {
-      const double remaining =
-          std::max(0.001, deadline.SecondsRemaining());
-      char header[128];
-      int header_len;
-      if (limit > 0) {
-        header_len = std::snprintf(
-            header, sizeof(header), "QUERY %zu %.3f LIMIT %llu IDS\n",
-            graph_text.size(), remaining,
-            static_cast<unsigned long long>(limit));
-      } else {
-        header_len =
-            std::snprintf(header, sizeof(header), "QUERY %zu %.3f IDS\n",
-                          graph_text.size(), remaining);
-      }
-      std::string request(header, static_cast<size_t>(header_len));
-      request += graph_text;
-      replies[shard] = QueryShard(shard, request, deadline);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
+  const auto per_shard = [&](size_t shard) {
+    const double remaining = std::max(0.001, deadline.SecondsRemaining());
+    char header[128];
+    const int header_len =
+        limit > 0 ? std::snprintf(header, sizeof(header),
+                                  "QUERY %zu %.3f LIMIT %llu %s\n",
+                                  graph_text.size(), remaining,
+                                  static_cast<unsigned long long>(limit),
+                                  framing)
+                  : std::snprintf(header, sizeof(header),
+                                  "QUERY %zu %.3f %s\n", graph_text.size(),
+                                  remaining, framing);
+    std::string request(header, static_cast<size_t>(header_len));
+    request += graph_text;
+    replies[shard] = QueryShard(shard, request, deadline, merge.get());
+    if (merge) merge->Finish(shard, replies[shard].ok);
+  };
+  ForEachShard(per_shard, [&] {
+    if (merge) merge->Forward(limit, sink);
+  });
 
   MergedQuery merged =
       MergeShardResults(replies, config_.on_shard_failure, limit);
@@ -261,249 +386,13 @@ MergedQuery ScatterGather::Query(const std::string& graph_text,
   return merged;
 }
 
-// Shared between the per-shard reader threads (producers) and the calling
-// thread (the merger): per-shard ascending id queues plus a done flag each.
-// An id is safe to forward once every not-done shard has a buffered id —
-// the smallest front is then the global minimum of everything still to come.
-struct ScatterGather::StreamMerge {
-  explicit StreamMerge(size_t shards) : pending(shards), done(shards, 0) {}
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<std::deque<GraphId>> pending;
-  std::vector<char> done;
-};
-
-ShardQueryReply ScatterGather::QueryShardStreaming(size_t shard,
-                                                   const std::string& request,
-                                                   Deadline deadline,
-                                                   StreamMerge* merge) {
-  ShardQueryReply reply;
-  bool streamed_any = false;
-  const auto read = [&](ShardConnection* connection, std::string* error) {
-    std::vector<GraphId> chunk;
-    for (;;) {
-      std::string line;
-      if (!connection->ReadLine(deadline, &line, error)) return false;
-      if (line.rfind("IDS", 0) == 0) {
-        chunk.clear();
-        if (!ParseIdsChunk(line, &chunk)) {
-          *error = "bad IDS chunk: " + line;
-          return false;
-        }
-        reply.ids.insert(reply.ids.end(), chunk.begin(), chunk.end());
-        if (!chunk.empty()) {
-          streamed_any = true;
-          {
-            std::lock_guard<std::mutex> lock(merge->mu);
-            std::deque<GraphId>& dst = merge->pending[shard];
-            dst.insert(dst.end(), chunk.begin(), chunk.end());
-          }
-          merge->cv.notify_all();
-        }
-        continue;
-      }
-      const ResponseHead head = ParseResponseHead(line);
-      switch (head.kind) {
-        case ResponseHead::Kind::kOk:
-        case ResponseHead::Kind::kTimeout:
-          break;
-        case ResponseHead::Kind::kOverloaded:
-          reply.overloaded = true;
-          *error = head.body.empty() ? "(no detail)" : head.body;
-          return false;
-        case ResponseHead::Kind::kBadRequest:
-          // An old server rejecting the STREAM grammar lands here.
-          *error = "shard rejected request: " + head.body;
-          return false;
-        default:
-          *error = "malformed shard response: " + line;
-          return false;
-      }
-      if (!head.has_count) {
-        *error = "query response without answer count: " + line;
-        return false;
-      }
-      if (head.num_answers != reply.ids.size()) {
-        *error = "streamed " + std::to_string(reply.ids.size()) +
-                 " ids but terminal line reported " +
-                 std::to_string(head.num_answers);
-        return false;
-      }
-      if (!ParseQueryStatsJson(head.body, &reply.stats)) {
-        *error = "unparseable shard stats: " + head.body;
-        return false;
-      }
-      reply.timed_out = head.kind == ResponseHead::Kind::kTimeout;
-      return true;
-    }
-  };
-  // WithConnection's retry would replay already-merged (possibly already
-  // client-visible) ids, so retry a stale pooled socket only while nothing
-  // has been pushed to the merge.
-  std::string error;
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    std::unique_ptr<ShardConnection> connection =
-        attempt == 0
-            ? pool_.Checkout(shard)
-            : std::make_unique<ShardConnection>(pool_.endpoint(shard));
-    if (!connection->Connect(&error)) break;
-    const bool reused = connection->reused();
-    if (connection->Send(request, &error) &&
-        read(connection.get(), &error)) {
-      pool_.CheckIn(shard, std::move(connection));
-      reply.ok = true;
-      return reply;
-    }
-    if (!reused || streamed_any) break;
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.retries;
-  }
-  reply.ok = false;
-  reply.error = error.empty()
-                    ? pool_.endpoint(shard).ToString() + ": failed"
-                    : error;
-  return reply;
-}
-
-MergedQuery ScatterGather::Query(const std::string& graph_text,
-                                 double timeout_seconds, uint64_t limit,
-                                 ResultSink* sink) {
-  if (sink == nullptr) return Query(graph_text, timeout_seconds, limit);
-  const double timeout = timeout_seconds > 0
-                             ? timeout_seconds
-                             : config_.default_timeout_seconds;
-  const Deadline deadline = Deadline::AfterSeconds(timeout);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.received;
-  }
-
-  const size_t num_shards = config_.shards.size();
-  StreamMerge merge(num_shards);
-  std::vector<ShardQueryReply> replies(num_shards);
-  std::vector<std::thread> threads;
-  threads.reserve(num_shards);
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    threads.emplace_back([this, shard, &graph_text, limit, deadline,
-                          &replies, &merge] {
-      const double remaining = std::max(0.001, deadline.SecondsRemaining());
-      char header[128];
-      int header_len;
-      if (limit > 0) {
-        header_len = std::snprintf(
-            header, sizeof(header), "QUERY %zu %.3f LIMIT %llu STREAM\n",
-            graph_text.size(), remaining,
-            static_cast<unsigned long long>(limit));
-      } else {
-        header_len =
-            std::snprintf(header, sizeof(header), "QUERY %zu %.3f STREAM\n",
-                          graph_text.size(), remaining);
-      }
-      std::string request(header, static_cast<size_t>(header_len));
-      request += graph_text;
-      replies[shard] = QueryShardStreaming(shard, request, deadline, &merge);
-      {
-        std::lock_guard<std::mutex> lock(merge.mu);
-        // A failed shard's reply is excluded from the merged result, so
-        // drop whatever it streamed but the merger has not forwarded yet
-        // (already-forwarded ids cannot be recalled — the caller's
-        // terminal line carries the failure).
-        if (!replies[shard].ok) merge.pending[shard].clear();
-        merge.done[shard] = 1;
-      }
-      merge.cv.notify_all();
-    });
-  }
-
-  // Incremental merge on the calling thread: repeatedly drain every id
-  // that is already order-safe into a batch, forward the batch without
-  // holding the merge lock (the sink writes to a socket), and sleep only
-  // when some not-done shard has an empty buffer. A shard with no answers
-  // sends nothing until its terminal line, so time-to-first-forwarded-id
-  // is bounded by the slowest shard's first flush — the price of strict
-  // global ordering.
-  uint64_t emitted = 0;
-  bool sink_open = true;
-  std::vector<GraphId> batch;
-  std::unique_lock<std::mutex> lock(merge.mu);
-  for (;;) {
-    batch.clear();
-    bool blocked = false;
-    for (;;) {
-      size_t best = num_shards;
-      blocked = false;
-      for (size_t i = 0; i < num_shards; ++i) {
-        if (!merge.pending[i].empty()) {
-          if (best == num_shards ||
-              merge.pending[i].front() < merge.pending[best].front()) {
-            best = i;
-          }
-        } else if (!merge.done[i]) {
-          blocked = true;
-          break;
-        }
-      }
-      if (blocked || best == num_shards) break;
-      batch.push_back(merge.pending[best].front());
-      merge.pending[best].pop_front();
-    }
-    if (!batch.empty()) {
-      lock.unlock();
-      for (const GraphId id : batch) {
-        if (!sink_open || (limit > 0 && emitted >= limit)) break;
-        ++emitted;
-        if (!sink->OnAnswer(id)) sink_open = false;
-      }
-      sink->FlushHint();
-      lock.lock();
-      continue;
-    }
-    if (!blocked) break;  // every shard done and every buffer drained
-    merge.cv.wait(lock);
-  }
-  lock.unlock();
-  for (std::thread& thread : threads) thread.join();
-
-  MergedQuery merged =
-      MergeShardResults(replies, config_.on_shard_failure, limit);
-  std::lock_guard<std::mutex> stats_lock(stats_mu_);
-  for (const ShardQueryReply& reply : replies) {
-    if (!reply.ok) ++stats_.shard_failures;
-  }
-  if (!merged.ok) {
-    ++stats_.failed;
-  } else {
-    if (merged.result.stats.timed_out) {
-      ++stats_.merged_timeout;
-    } else {
-      ++stats_.merged_ok;
-    }
-    if (merged.shards.ok < merged.shards.total) ++stats_.degraded;
-  }
-  return merged;
-}
-
 std::vector<ScatterGather::BroadcastReply> ScatterGather::Broadcast(
     const std::string& command_line) {
-  const Deadline deadline =
-      Deadline::AfterSeconds(config_.admin_timeout_seconds);
+  std::vector<BroadcastReply> replies(config_.shards.size());
   const std::string request = command_line + "\n";
-  const size_t num_shards = config_.shards.size();
-  std::vector<BroadcastReply> replies(num_shards);
-  std::vector<std::thread> threads;
-  threads.reserve(num_shards);
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    threads.emplace_back([this, shard, &request, deadline, &replies] {
-      BroadcastReply& reply = replies[shard];
-      const auto read = [&](ShardConnection* connection,
-                            std::string* error) {
-        return connection->ReadLine(deadline, &reply.line, error);
-      };
-      reply.ok = WithConnection(shard, request, read, &reply.error);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
+  ForEachShard([&](size_t shard) {
+    replies[shard] = SendToShard(shard, request);
+  });
   return replies;
 }
 

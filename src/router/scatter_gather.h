@@ -98,7 +98,8 @@ struct RouterStatsSnapshot {
 };
 
 // Thread-safe: any number of router connection threads may call Query()
-// and Broadcast() concurrently; each fan-out uses one thread per shard.
+// and Broadcast() concurrently; each fan-out uses one thread per shard
+// (ForEachShard).
 class ScatterGather {
  public:
   explicit ScatterGather(RouterConfig config);
@@ -107,23 +108,21 @@ class ScatterGather {
   // shards and merges. `timeout_seconds <= 0` uses the config default;
   // the remaining budget at each send is what a shard sees, so a dead
   // shard consumes deadline, never hangs the router.
+  //
+  // With a `sink` the shards are queried with STREAM instead, and the
+  // merged ascending global-id sequence is pushed to the sink
+  // incrementally — an id is forwarded as soon as every shard that could
+  // still produce a smaller id has streamed past it (shard streams are
+  // ascending and disjoint, so the k-way merge of the chunk fronts is
+  // exactly the sorted union). With limit > 0 only the first `limit`
+  // merged ids reach the sink (the post-merge LIMIT cut; each shard is
+  // also sent LIMIT k, bounding its stream). The returned MergedQuery is
+  // the same either way for the same replies. On a mid-stream shard
+  // failure ids may already have been forwarded — the caller must signal
+  // the failure in its terminal line rather than pretend the prefix is
+  // complete.
   MergedQuery Query(const std::string& graph_text, double timeout_seconds,
-                    uint64_t limit);
-
-  // Streaming fan-out: queries every shard with STREAM and pushes the
-  // merged ascending global-id sequence to `sink` incrementally — an id is
-  // forwarded as soon as every shard that could still produce a smaller id
-  // has streamed past it (shard streams are ascending and disjoint, so the
-  // k-way merge of the chunk fronts is exactly the sorted union). With
-  // limit > 0 only the first `limit` merged ids reach the sink (the
-  // post-merge LIMIT cut; each shard is also sent LIMIT k, bounding its
-  // stream). The returned MergedQuery is identical to the batch overload's
-  // for the same replies. On a mid-stream shard failure ids may already
-  // have been forwarded — the caller must signal the failure in its
-  // terminal line rather than pretend the prefix is complete. A null sink
-  // falls back to the batch overload.
-  MergedQuery Query(const std::string& graph_text, double timeout_seconds,
-                    uint64_t limit, ResultSink* sink);
+                    uint64_t limit, ResultSink* sink = nullptr);
 
   struct BroadcastReply {
     bool ok = false;    // got a response line
@@ -149,31 +148,33 @@ class ScatterGather {
   const RouterConfig& config() const { return config_; }
 
  private:
+  // Runs `per_shard(i)` for every shard i, one thread per shard, while the
+  // calling thread runs `meanwhile` (when set); returns once all are done.
+  void ForEachShard(const std::function<void(size_t)>& per_shard,
+                    const std::function<void()>& meanwhile = nullptr);
+
   // One complete exchange with `shard` over a pooled connection: checkout,
   // connect, send, then let `read` consume the response lines; checked in
   // afterwards only if everything succeeded. When a *reused* pooled socket
   // fails (the shard restarted between requests), retries once from a
-  // fresh connection — all the verbs we send are idempotent.
+  // fresh connection — all the verbs we send are idempotent — unless
+  // `may_retry` says the failed attempt already had visible effects.
   bool WithConnection(
       size_t shard, const std::string& request,
       const std::function<bool(ShardConnection*, std::string*)>& read,
-      std::string* error);
-
-  ShardQueryReply QueryShard(size_t shard, const std::string& request,
-                             Deadline deadline);
+      std::string* error, const std::function<bool()>& may_retry = nullptr);
 
   // Per-fan-out state of the incremental merge (defined in the .cc).
   struct StreamMerge;
 
-  // Streaming exchange with one shard: each IDS chunk line is appended to
-  // the reply *and* pushed into the merge state as it arrives; the
-  // terminal OK/TIMEOUT line ends the exchange. Retries a stale pooled
-  // socket only while no chunk has been pushed yet — once ids entered the
-  // merge they may have been forwarded to the client, so a later failure
-  // is final.
-  ShardQueryReply QueryShardStreaming(size_t shard,
-                                      const std::string& request,
-                                      Deadline deadline, StreamMerge* merge);
+  // One shard's QUERY exchange. Batch (`merge` null): the OK/TIMEOUT head
+  // plus its IDS line. Streaming: each IDS chunk line is appended to the
+  // reply *and* pushed into `merge` as it arrives, until the terminal
+  // OK/TIMEOUT line; a stale pooled socket is retried only while no chunk
+  // has been pushed — once ids entered the merge they may have been
+  // forwarded to the client, so a later failure is final.
+  ShardQueryReply QueryShard(size_t shard, const std::string& request,
+                             Deadline deadline, StreamMerge* merge);
 
   const RouterConfig config_;
   ShardConnectionPool pool_;

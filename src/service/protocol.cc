@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 namespace sgq {
@@ -434,6 +435,28 @@ void JsonDouble(std::string_view json, std::string_view key, double* out) {
 
 }  // namespace
 
+bool ParseReloadedCount(std::string_view line, uint64_t* count) {
+  while (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  const std::vector<std::string_view> tokens = SplitTokens(line);
+  size_t value = 0;
+  if (tokens.size() != 4 || tokens[0] != "OK" || tokens[1] != "reloaded" ||
+      tokens[3] != "graphs" || !ParseLength(tokens[2], &value)) {
+    return false;
+  }
+  *count = value;
+  return true;
+}
+
+bool ParseNextGlobalId(std::string_view stats_json, GraphId* next) {
+  uint64_t value = 0;
+  if (!JsonUint(stats_json, "next_global_id", &value) ||
+      value > std::numeric_limits<GraphId>::max()) {
+    return false;
+  }
+  *next = static_cast<GraphId>(value);
+  return true;
+}
+
 bool ParseQueryStatsJson(std::string_view json, QueryStats* stats) {
   if (json.empty() || json.front() != '{' || json.back() != '}') return false;
   *stats = QueryStats();
@@ -488,7 +511,8 @@ bool ParseMutationResponse(std::string_view line, std::string_view action,
   const std::vector<std::string_view> tokens = SplitTokens(line);
   size_t gid = 0;
   if (tokens.size() != 3 || tokens[0] != "OK" || tokens[1] != action ||
-      !ParseLength(tokens[2], &gid)) {
+      !ParseLength(tokens[2], &gid) ||
+      gid > std::numeric_limits<GraphId>::max()) {
     return false;
   }
   *global_id = static_cast<GraphId>(gid);

@@ -219,9 +219,20 @@ bool ParseIdsChunk(std::string_view line, std::vector<GraphId>* ids);
 bool ParseRetryAfterMs(std::string_view body, uint64_t* retry_after_ms);
 
 // Parses "OK added <gid>" / "OK removed <gid>" response lines (the router's
-// shard-side decode). False for any other line.
+// shard-side decode). False for any other line, including an id that does
+// not fit a GraphId.
 bool ParseAddedResponse(std::string_view line, GraphId* global_id);
 bool ParseRemovedResponse(std::string_view line, GraphId* global_id);
+
+// Parses an "OK reloaded <n> graphs" RELOAD reply. False for any other
+// line, including a count that overflows 64 bits.
+bool ParseReloadedCount(std::string_view line, uint64_t* count);
+
+// Extracts "next_global_id":<n> from a server's STATS json (the key lives
+// in the nested "update" object and is unique within the document). False
+// when the key is absent, the value is not all digits, or it does not fit
+// a GraphId.
+bool ParseNextGlobalId(std::string_view stats_json, GraphId* next);
 
 // Reads the flat json emitted by ToJson(QueryStats) back into a QueryStats.
 // Unknown keys are ignored; missing keys stay zero. False on anything that

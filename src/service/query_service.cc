@@ -167,7 +167,6 @@ QueryService::QueryService(ServiceConfig config)
   CacheConfig cache_config;
   cache_config.enabled = config_.engine.cache_mb > 0;
   cache_config.max_bytes = config_.engine.cache_mb << 20;
-  cache_config.shards = std::max<uint32_t>(1, config_.cache_shards);
   cache_ = std::make_unique<ResultCache>(cache_config);
   const char* sched_env = std::getenv("SGQ_SCHED");
   const std::string sched = sched_env != nullptr ? sched_env : config_.sched;

@@ -70,9 +70,6 @@ struct ServiceConfig {
   size_t queue_capacity = 64;
   double default_timeout_seconds = kDefaultQueryTimeoutSeconds;
   double build_timeout_seconds = kDefaultBuildTimeoutSeconds;
-  // Result-cache byte budget comes from engine.cache_mb (0 disables); the
-  // SGQ_CACHE environment variable can force it off regardless.
-  uint32_t cache_shards = 8;
   // Admission scheduling policy: "fifo" serves in arrival order; "sjf" is
   // the cost-aware two-class scheduler — requests are classed cheap/heavy
   // by the CostModel estimate at admission, the cheapest cheap request runs

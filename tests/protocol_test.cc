@@ -561,6 +561,49 @@ TEST(ProtocolTest, MutationResponseRoundTrip) {
   EXPECT_FALSE(ParseAddedResponse("OK added", &gid));
   EXPECT_FALSE(ParseAddedResponse("OK added x", &gid));
   EXPECT_FALSE(ParseAddedResponse("OVERLOADED busy", &gid));
+  // An id past the 32-bit GraphId space is refused, not truncated.
+  EXPECT_FALSE(ParseAddedResponse("OK added 4294967301", &gid));
+}
+
+TEST(ProtocolTest, ParseReloadedCount) {
+  uint64_t count = 0;
+  ASSERT_TRUE(ParseReloadedCount("OK reloaded 40 graphs", &count));
+  EXPECT_EQ(count, 40u);
+  // A graph count is not a GraphId: 2^32 still fits the 64-bit count.
+  ASSERT_TRUE(ParseReloadedCount("OK reloaded 4294967296 graphs", &count));
+  EXPECT_EQ(count, 4294967296u);
+
+  count = 7;
+  EXPECT_FALSE(ParseReloadedCount("OK reloaded graphs", &count));
+  EXPECT_FALSE(ParseReloadedCount("OK 40 graphs", &count));
+  EXPECT_FALSE(ParseReloadedCount("OK reloaded 4x0 graphs", &count));
+  EXPECT_FALSE(ParseReloadedCount("OK reloaded -1 graphs", &count));
+  EXPECT_FALSE(ParseReloadedCount("OK reloaded 40 graphs extra", &count));
+  EXPECT_FALSE(ParseReloadedCount(
+      "OK reloaded 1234567890123456789012345 graphs", &count));
+  EXPECT_FALSE(ParseReloadedCount("OVERLOADED busy", &count));
+  EXPECT_EQ(count, 7u);  // untouched on failure
+}
+
+TEST(ProtocolTest, ParseNextGlobalId) {
+  GraphId next = 0;
+  ASSERT_TRUE(ParseNextGlobalId(
+      R"({"received":3,"update":{"adds":2,"next_global_id":42}})", &next));
+  EXPECT_EQ(next, 42u);
+  ASSERT_TRUE(ParseNextGlobalId(R"({"next_global_id":4294967295})", &next));
+  EXPECT_EQ(next, 4294967295u);
+
+  next = 7;
+  EXPECT_FALSE(ParseNextGlobalId(R"({"update":{"adds":2}})", &next));
+  EXPECT_FALSE(ParseNextGlobalId(R"({"next_global_id":"42"})", &next));
+  EXPECT_FALSE(ParseNextGlobalId(R"({"next_global_id":4x2})", &next));
+  EXPECT_FALSE(ParseNextGlobalId(R"({"next_global_id":-1})", &next));
+  // 2^32 does not fit a GraphId; 25 digits overflow 64 bits. Neither may
+  // wrap into a small id the router would then hand out again.
+  EXPECT_FALSE(ParseNextGlobalId(R"({"next_global_id":4294967296})", &next));
+  EXPECT_FALSE(ParseNextGlobalId(
+      R"({"next_global_id":1234567890123456789012345})", &next));
+  EXPECT_EQ(next, 7u);  // untouched on failure
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // TIMEOUT, a deterministic OVERLOADED, STATS totals that must match the
 // client-side counts exactly, a graceful shutdown that drains, the cache
 // section of STATS with CACHE CLEAR over the wire, and RELOAD invalidation
-// under concurrent query load. Runs under the `tsan` ctest label.
+// under concurrent query load. The connection handling both front ends
+// share (service/line_server.h) is also driven through the router's
+// dispatcher. Runs under the `tsan` ctest label.
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include "cache/result_cache.h"
 #include "gen/graph_gen.h"
 #include "graph/graph_io.h"
+#include "router/router_server.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "tests/test_util.h"
@@ -30,6 +33,8 @@
 
 namespace sgq {
 namespace {
+
+using ::sgq::testing::MakePath;
 
 GraphDatabase SmallDb(uint32_t num_graphs = 40) {
   SyntheticParams params;
@@ -164,6 +169,144 @@ ServiceStatsSnapshot StatsOverWire(const std::string& socket_path,
   stats.in_flight = ExtractUint(*raw_json, "in_flight");
   return stats;
 }
+
+// The LineServer front end under both dispatchers: "server" is a plain
+// SocketServer, "router" a RouterServer fronting one in-process shard.
+class FrontEndTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    socket_path_ = UniqueSocketPath(("front_" + GetParam()).c_str());
+    const bool routed = GetParam() == "router";
+    ServerConfig server_config;
+    server_config.unix_path =
+        routed ? UniqueSocketPath("front_shard") : socket_path_;
+    ServiceConfig service_config;
+    service_config.workers = 1;
+    service_config.queue_capacity = 4;
+    std::string error;
+    if (routed) {
+      RouterServerConfig router_server_config;
+      router_server_config.unix_path = socket_path_;
+      RouterConfig router_config;
+      ShardEndpoint shard;
+      shard.unix_path = server_config.unix_path;
+      router_config.shards.push_back(shard);
+      router_config.forward_shutdown = false;  // the test owns the shard
+      router_ = std::make_unique<RouterServer>(router_server_config,
+                                               router_config);
+    }
+    server_ = std::make_unique<SocketServer>(server_config, service_config);
+    ASSERT_TRUE(server_->Start(SmallDb(), &error)) << error;
+    if (router_) {
+      ASSERT_TRUE(router_->Start(&error)) << error;
+    }
+  }
+
+  void TearDown() override {
+    StopFrontEnd();
+    server_->RequestStop();
+    server_->Wait();
+  }
+
+  // Stops whichever server the clients talk to.
+  void StopFrontEnd() {
+    if (router_) {
+      router_->RequestStop();
+      router_->Wait();
+    } else {
+      server_->RequestStop();
+      server_->Wait();
+    }
+  }
+
+  std::string socket_path_;
+  std::unique_ptr<SocketServer> server_;
+  std::unique_ptr<RouterServer> router_;
+};
+
+// A protocol error gets BAD_REQUEST, closes that connection only, and shows
+// up in the front end's bad_requests count.
+TEST_P(FrontEndTest, MalformedRequestClosesOnlyThatConnection) {
+  const std::string payload = SerializeGraph(SmallDb().graph(0), 0);
+  Client client;
+  ASSERT_TRUE(client.Connect(socket_path_));
+  EXPECT_EQ(client.Query(payload).rfind("OK ", 0), 0u);
+
+  Client hostile;
+  ASSERT_TRUE(hostile.Connect(socket_path_));
+  ASSERT_TRUE(hostile.Send("FROBNICATE\n"));
+  std::string line;
+  ASSERT_TRUE(hostile.RecvLine(&line));
+  EXPECT_EQ(line.rfind("BAD_REQUEST", 0), 0u) << line;
+  EXPECT_FALSE(hostile.RecvLine(&line)) << "connection stayed open";
+
+  // The connection that was open all along and a new one both still work.
+  EXPECT_EQ(client.Query(payload).rfind("OK ", 0), 0u);
+  Client second;
+  ASSERT_TRUE(second.Connect(socket_path_));
+  EXPECT_EQ(second.Query(payload).rfind("OK ", 0), 0u);
+
+  // The router's own count comes first in its STATS json, before the
+  // shards' objects.
+  ASSERT_TRUE(second.Send("STATS\n"));
+  ASSERT_TRUE(second.RecvLine(&line));
+  ASSERT_EQ(line.rfind("OK {", 0), 0u) << line;
+  EXPECT_EQ(ExtractUint(line, "bad_requests"), 1u) << line;
+}
+
+// Shutdown must not strand a connection that is mid-payload: the
+// connection closes once the client is idle, and admitted work still
+// completes.
+TEST_P(FrontEndTest, ShutdownWithIdleConnectionsDoesNotHang) {
+  // Three connections sit idle; one holds a truncated payload forever.
+  std::vector<std::unique_ptr<Client>> idle;
+  for (int i = 0; i < 3; ++i) {
+    idle.push_back(std::make_unique<Client>());
+    ASSERT_TRUE(idle.back()->Connect(socket_path_));
+  }
+  ASSERT_TRUE(idle[2]->Send("QUERY 100\npartial"));
+
+  StopFrontEnd();  // must return despite the idle/truncated connections
+  EXPECT_NE(::access(socket_path_.c_str(), F_OK), 0);
+}
+
+// Requests pipelined in one write are all served, in order, before the
+// connection reads again.
+TEST_P(FrontEndTest, PipelinedRequestsAnsweredInOrder) {
+  const std::string first = SerializeGraph(SmallDb().graph(0), 0);
+  const std::string second = SerializeGraph(MakePath({0, 1}), 0);
+  const auto ids_query = [](const std::string& payload) {
+    return "QUERY " + std::to_string(payload.size()) + " IDS\n" + payload;
+  };
+
+  // Reference answers, one request at a time.
+  Client client;
+  ASSERT_TRUE(client.Connect(socket_path_));
+  std::string head, first_ids, second_ids;
+  ASSERT_TRUE(client.Send(ids_query(first)));
+  ASSERT_TRUE(client.RecvLine(&head) && client.RecvLine(&first_ids));
+  ASSERT_TRUE(client.Send(ids_query(second)));
+  ASSERT_TRUE(client.RecvLine(&head) && client.RecvLine(&second_ids));
+  ASSERT_NE(first_ids, second_ids) << "queries must be distinguishable";
+
+  ASSERT_TRUE(
+      client.Send(ids_query(first) + "STATS\n" + ids_query(second)));
+  std::string line;
+  ASSERT_TRUE(client.RecvLine(&line));
+  EXPECT_TRUE(ParseResponseHead(line).has_count) << line;
+  ASSERT_TRUE(client.RecvLine(&line));
+  EXPECT_EQ(line, first_ids);
+  ASSERT_TRUE(client.RecvLine(&line));
+  EXPECT_EQ(line.rfind("OK {", 0), 0u) << line;
+  ASSERT_TRUE(client.RecvLine(&line));
+  EXPECT_TRUE(ParseResponseHead(line).has_count) << line;
+  ASSERT_TRUE(client.RecvLine(&line));
+  EXPECT_EQ(line, second_ids);
+}
+
+INSTANTIATE_TEST_SUITE_P(FrontEnds, FrontEndTest,
+                         ::testing::Values("server", "router"),
+                         [](const auto& info) { return info.param; });
 
 TEST(ServiceE2eTest, ServeQueryStatsShutdownOverUnixSocket) {
   const std::string socket_path = UniqueSocketPath("basic");
@@ -613,34 +756,6 @@ TEST(ServiceE2eTest, StreamedResultsAreBitIdenticalPrefixOfBatch) {
     server.RequestStop();
     server.Wait();
   }
-}
-
-// Shutdown must not strand a connection that is mid-payload: the
-// connection closes once the client is idle, and admitted work still
-// completes.
-TEST(ServiceE2eTest, ShutdownWithIdleConnectionsDoesNotHang) {
-  const std::string socket_path = UniqueSocketPath("idle");
-  ServerConfig server_config;
-  server_config.unix_path = socket_path;
-  ServiceConfig service_config;
-  service_config.workers = 1;
-  service_config.queue_capacity = 4;
-
-  SocketServer server(server_config, service_config);
-  std::string error;
-  ASSERT_TRUE(server.Start(SmallDb(), &error)) << error;
-
-  // Three connections sit idle; one holds a truncated payload forever.
-  std::vector<std::unique_ptr<Client>> idle;
-  for (int i = 0; i < 3; ++i) {
-    idle.push_back(std::make_unique<Client>());
-    ASSERT_TRUE(idle.back()->Connect(socket_path));
-  }
-  ASSERT_TRUE(idle[2]->Send("QUERY 100\npartial"));
-
-  server.RequestStop();
-  server.Wait();  // must return despite the idle/truncated connections
-  EXPECT_NE(::access(socket_path.c_str(), F_OK), 0);
 }
 
 // The full mutation verb surface over the wire: inline and @file ADD,

@@ -3,6 +3,8 @@
 // database loaded from text — across engines, with and without LIMIT,
 // streamed and batch, with and without the candidate index — and must be
 // safe to query concurrently from many threads over one shared mapping.
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -71,8 +73,14 @@ class LimitSink : public ResultSink {
 class SnapshotQueryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    text_path_ = ::testing::TempDir() + "snapshot_query_db.txt";
-    snap_path_ = ::testing::TempDir() + "snapshot_query_db.csr";
+    // ctest runs every test as its own process, concurrently under -j: a
+    // shared path would let one fixture truncate a file another has mapped.
+    const std::string base =
+        ::testing::TempDir() + "snapshot_query_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_" + std::to_string(::getpid());
+    text_path_ = base + ".txt";
+    snap_path_ = base + ".csr";
     GraphDatabase db = MakeDb();
     std::string error;
     ASSERT_TRUE(SaveDatabase(db, text_path_, &error)) << error;

@@ -70,10 +70,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--shards is required\n");
     return Usage();
   }
-  if (!flags.Has("socket") && !flags.Has("port")) {
-    std::fprintf(stderr, "one of --socket or --port is required\n");
-    return Usage();
-  }
+  RouterServerConfig server_config;
+  if (!sgq_tools::ReadListenFlags(flags, &server_config)) return Usage();
 
   RouterConfig router_config;
   std::string error;
@@ -98,14 +96,6 @@ int main(int argc, char** argv) {
   }
   router_config.forward_shutdown = forward == "on";
 
-  RouterServerConfig server_config;
-  server_config.unix_path = flags.Get("socket", "");
-  if (flags.Has("port")) {
-    server_config.port = static_cast<int>(flags.GetDouble("port", 0));
-  }
-  server_config.host = flags.Get("host", "127.0.0.1");
-  server_config.max_payload_bytes = static_cast<size_t>(flags.GetDouble(
-      "max-request-bytes", static_cast<double>(kDefaultMaxPayloadBytes)));
   server_config.cache_mb =
       static_cast<uint32_t>(flags.GetDouble("cache-mb", 0));
 
@@ -118,17 +108,10 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
 
-  if (!server_config.unix_path.empty()) {
-    std::printf("sgq_router: %zu shards, policy %s, on unix:%s\n",
-                router_config.shards.size(),
-                ToString(router_config.on_shard_failure),
-                server_config.unix_path.c_str());
-  } else {
-    std::printf("sgq_router: %zu shards, policy %s, on %s:%u\n",
-                router_config.shards.size(),
-                ToString(router_config.on_shard_failure),
-                server_config.host.c_str(), router.port());
-  }
+  std::printf("sgq_router: %zu shards, policy %s, on %s\n",
+              router_config.shards.size(),
+              ToString(router_config.on_shard_failure),
+              sgq_tools::ListenAddress(server_config, router.port()).c_str());
   std::fflush(stdout);
 
   router.Wait();

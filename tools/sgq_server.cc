@@ -113,10 +113,9 @@ int main(int argc, char** argv) {
                  "with sgq_snapshot)\n", db_path.c_str());
     return 1;
   }
-  if (!flags.Has("socket") && !flags.Has("port")) {
-    std::fprintf(stderr, "one of --socket or --port is required\n");
-    return Usage();
-  }
+  ServerConfig server_config;
+  if (!sgq_tools::ReadListenFlags(flags, &server_config)) return Usage();
+  server_config.db_path = db_path;
 
   ServiceConfig service_config;
   service_config.engine_name = flags.Get("engine", "CFQL");
@@ -170,15 +169,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  ServerConfig server_config;
-  server_config.unix_path = flags.Get("socket", "");
-  if (flags.Has("port")) {
-    server_config.port = static_cast<int>(flags.GetDouble("port", 0));
-  }
-  server_config.host = flags.Get("host", "127.0.0.1");
-  server_config.max_payload_bytes = static_cast<size_t>(flags.GetDouble(
-      "max-request-bytes", static_cast<double>(kDefaultMaxPayloadBytes)));
-  server_config.db_path = db_path;
   std::string error;
   if (flags.Has("shard-of")) {
     ShardSpec shard;
@@ -212,19 +202,12 @@ int main(int argc, char** argv) {
           ? " as shard " + std::to_string(server_config.shard_index) + "/" +
                 std::to_string(server_config.shard_count)
           : "";
-  if (!server_config.unix_path.empty()) {
-    std::printf("sgq_server: %s over %zu graphs%s on unix:%s (%u workers, "
-                "queue %zu)\n",
-                service_config.engine_name.c_str(), num_graphs,
-                shard_note.c_str(), server_config.unix_path.c_str(),
-                service_config.workers, service_config.queue_capacity);
-  } else {
-    std::printf("sgq_server: %s over %zu graphs%s on %s:%u (%u workers, "
-                "queue %zu)\n",
-                service_config.engine_name.c_str(), num_graphs,
-                shard_note.c_str(), server_config.host.c_str(), server.port(),
-                service_config.workers, service_config.queue_capacity);
-  }
+  std::printf("sgq_server: %s over %zu graphs%s on %s (%u workers, "
+              "queue %zu)\n",
+              service_config.engine_name.c_str(), num_graphs,
+              shard_note.c_str(),
+              sgq_tools::ListenAddress(server_config, server.port()).c_str(),
+              service_config.workers, service_config.queue_capacity);
   std::fflush(stdout);
 
   server.Wait();

@@ -1,5 +1,6 @@
 // Minimal --key value flag parser shared by the sgq command-line tools
-// (sgq_cli, sgq_server, sgq_client).
+// (sgq_cli, sgq_server, sgq_router, sgq_client, sgq_snapshot), plus the
+// listen flags the two serving tools share.
 #ifndef SGQ_TOOLS_TOOL_FLAGS_H_
 #define SGQ_TOOLS_TOOL_FLAGS_H_
 
@@ -8,6 +9,8 @@
 #include <map>
 #include <string>
 #include <vector>
+
+#include "service/line_server.h"
 
 namespace sgq_tools {
 
@@ -60,6 +63,30 @@ class Flags {
   std::map<std::string, std::string> values_;
   bool ok_ = true;
 };
+
+// Reads --socket / --port / --host / --max-request-bytes. False (after a
+// message) when neither --socket nor --port is given.
+inline bool ReadListenFlags(const Flags& flags, sgq::ListenConfig* config) {
+  if (!flags.Has("socket") && !flags.Has("port")) {
+    std::fprintf(stderr, "one of --socket or --port is required\n");
+    return false;
+  }
+  config->unix_path = flags.Get("socket", "");
+  if (flags.Has("port")) {
+    config->port = static_cast<int>(flags.GetDouble("port", 0));
+  }
+  config->host = flags.Get("host", "127.0.0.1");
+  config->max_payload_bytes = static_cast<size_t>(flags.GetDouble(
+      "max-request-bytes", static_cast<double>(sgq::kDefaultMaxPayloadBytes)));
+  return true;
+}
+
+// "unix:<path>" or "<host>:<port>", for the start-up banner.
+inline std::string ListenAddress(const sgq::ListenConfig& config,
+                                 uint16_t port) {
+  if (!config.unix_path.empty()) return "unix:" + config.unix_path;
+  return config.host + ":" + std::to_string(port);
+}
 
 }  // namespace sgq_tools
 
