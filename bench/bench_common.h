@@ -90,10 +90,10 @@ const std::vector<SyntheticSweepPoint>& SyntheticSweep();
 // ask). scripts/run_micro_benches.sh is the documented invocation.
 
 struct BenchRecord {
-  std::string name;        // full benchmark name, e.g. "BM_EnumerateSteal/4"
+  std::string name;        // full benchmark name, e.g. "BM_QueryThroughputCfqlParallel/4"
   uint64_t iterations = 0;
   double ns_per_op = 0;    // real time per iteration, nanoseconds
-  // User counters in insertion order (speedup_vs_serial, ws_hit_rate, ...).
+  // User counters in insertion order (ws_hit_rate, allocs_per_query, ...).
   std::vector<std::pair<std::string, double>> counters;
 };
 

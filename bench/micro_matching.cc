@@ -22,7 +22,6 @@
 #include "matching/cfql.h"
 #include "matching/direct_enumeration.h"
 #include "matching/graphql.h"
-#include "matching/parallel_backtrack.h"
 #include "matching/spath.h"
 #include "matching/turboiso.h"
 #include "matching/vf2.h"
@@ -551,186 +550,6 @@ void BM_QueryThroughputCfqlParallel(benchmark::State& state) {
   ReportThroughput(state, queries_run, ws_hits, ws_misses);
 }
 BENCHMARK(BM_QueryThroughputCfqlParallel)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// --- intra-query work-stealing (dense single-graph workload) ---------------
-// The regime ROADMAP item 3 targets: ONE large graph whose enumeration
-// dominates the query, so database-level parallelism has nothing to split
-// and the steal scheduler's first-level task partition is the only
-// parallelism available. Serial vs 1/2/4/8-executor stealing over the same
-// filter output; the fixture asserts bit-identical embedding sequences up
-// front, so the speedup_vs_serial counter compares equal work. On a machine
-// with fewer hardware threads than the Arg the executors are oversubscribed
-// and the counter degrades honestly — read it against threads_available in
-// the BENCH_*.json snapshot.
-struct StealFixture {
-  Graph data;
-  Graph query;
-  std::unique_ptr<FilterData> filtered;
-  std::vector<VertexId> order;
-  uint64_t limit = 100000;
-  uint64_t expected_embeddings = 0;
-  double serial_ns = 0;  // one serial enumeration, for speedup_vs_serial
-
-  StealFixture() {
-    Rng rng(1337);
-    std::vector<Label> labels;
-    for (Label l = 0; l < 4; ++l) labels.push_back(l);
-    data = GenerateRandomGraph(2000, 12.0, labels, &rng);
-    GraphDatabase db;
-    db.Add(data);
-    data = db.graph(0);
-    while (!GenerateQuery(db, QueryKind::kDense, 12, &rng, &query)) {
-    }
-    const CflMatcher matcher;  // the CFQL filter
-    filtered = matcher.Filter(query, data);
-    SGQ_CHECK(filtered->Passed());
-    order = JoinBasedOrder(query, filtered->phi);
-
-    std::vector<VertexId> serial_flat;
-    MatchWorkspace ws;
-    const EnumerateResult serial = BacktrackOverCandidates(
-        query, data, filtered->phi, order, limit, nullptr,
-        [&serial_flat](const std::vector<VertexId>& m) {
-          serial_flat.insert(serial_flat.end(), m.begin(), m.end());
-          return true;
-        },
-        &ws, DefaultExtensionPath());
-    expected_embeddings = serial.embeddings;
-    SGQ_CHECK_GT(expected_embeddings, 0u);
-    // Warm serial baseline for speedup_vs_serial (best of three, with the
-    // first run above having already paged everything in).
-    serial_ns = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-      WallTimer timer;
-      const EnumerateResult er = BacktrackOverCandidates(
-          query, data, filtered->phi, order, limit, nullptr, nullptr, &ws,
-          DefaultExtensionPath());
-      const double ns = static_cast<double>(timer.ElapsedNanos());
-      SGQ_CHECK(er.embeddings == expected_embeddings);
-      if (serial_ns == 0 || ns < serial_ns) serial_ns = ns;
-    }
-
-    // Acceptance gate: the stolen enumeration must replay the exact serial
-    // embedding sequence, not just the same count.
-    StealScheduler sched(4, StealConfig{});
-    std::vector<VertexId> steal_flat;
-    std::atomic<bool> done{false};
-    std::vector<std::thread> helpers;
-    for (uint32_t t = 1; t < 4; ++t) {
-      helpers.emplace_back([&sched, &done, t] {
-        MatchWorkspace helper_ws;
-        while (!done.load(std::memory_order_acquire)) {
-          if (!sched.TryHelp(t, &helper_ws)) std::this_thread::yield();
-        }
-      });
-    }
-    MatchWorkspace owner_ws;
-    const EnumerateResult stolen = sched.Enumerate(
-        0, query, data, filtered->phi, order, limit, Deadline::Infinite(),
-        [&steal_flat](const std::vector<VertexId>& m) {
-          steal_flat.insert(steal_flat.end(), m.begin(), m.end());
-          return true;
-        },
-        &owner_ws, DefaultExtensionPath());
-    done.store(true, std::memory_order_release);
-    for (std::thread& h : helpers) h.join();
-    SGQ_CHECK(stolen.embeddings == serial.embeddings &&
-              steal_flat == serial_flat)
-        << "stolen enumeration diverged from serial";
-  }
-};
-
-const StealFixture& GetStealFixture() {
-  static const StealFixture& fixture = *new StealFixture();
-  return fixture;
-}
-
-// Serial baseline measured by the benchmark loop itself; BM_EnumerateSteal
-// prefers it over the fixture's construction-time measurement because both
-// then see the same machine load (registration order runs Serial first in
-// an unfiltered suite). Both sides time each iteration individually and keep
-// the MINIMUM: on a shared box, loop-total wall time folds in preemption by
-// other processes, which poisons the ratio (a 1-executor run would not read
-// ~1.0). The min is the least-interfered sample of identical work.
-double g_measured_serial_ns = 0;
-
-void BM_EnumerateStealSerial(benchmark::State& state) {
-  const StealFixture& f = GetStealFixture();
-  MatchWorkspace ws;
-  double min_ns = 0;
-  for (auto _ : state) {
-    WallTimer timer;
-    const EnumerateResult er = BacktrackOverCandidates(
-        f.query, f.data, f.filtered->phi, f.order, f.limit, nullptr, nullptr,
-        &ws, DefaultExtensionPath());
-    const double ns = static_cast<double>(timer.ElapsedNanos());
-    benchmark::DoNotOptimize(er.embeddings);
-    if (min_ns == 0 || ns < min_ns) min_ns = ns;
-    if (er.embeddings != f.expected_embeddings) {
-      state.SkipWithError("embedding count diverged");
-      return;
-    }
-  }
-  if (min_ns > 0) g_measured_serial_ns = min_ns;
-  state.counters["embeddings"] =
-      benchmark::Counter(static_cast<double>(f.expected_embeddings));
-}
-BENCHMARK(BM_EnumerateStealSerial)->Unit(benchmark::kMillisecond);
-
-// Arg = executor count. Executor 0 owns the job; the rest are dedicated
-// helper threads looping TryHelp, exactly the engine's drained-worker help
-// phase.
-void BM_EnumerateSteal(benchmark::State& state) {
-  const StealFixture& f = GetStealFixture();
-  const uint32_t executors = static_cast<uint32_t>(state.range(0));
-  StealScheduler sched(executors, StealConfig{});
-  std::atomic<bool> done{false};
-  std::vector<std::thread> helpers;
-  for (uint32_t t = 1; t < executors; ++t) {
-    helpers.emplace_back([&sched, &done, t] {
-      MatchWorkspace helper_ws;
-      while (!done.load(std::memory_order_acquire)) {
-        if (!sched.TryHelp(t, &helper_ws)) std::this_thread::yield();
-      }
-    });
-  }
-  MatchWorkspace owner_ws;
-  double min_ns = 0;
-  uint64_t iterations = 0;
-  for (auto _ : state) {
-    WallTimer timer;
-    const EnumerateResult er = sched.Enumerate(
-        0, f.query, f.data, f.filtered->phi, f.order, f.limit,
-        Deadline::Infinite(), nullptr, &owner_ws, DefaultExtensionPath());
-    const double ns = static_cast<double>(timer.ElapsedNanos());
-    benchmark::DoNotOptimize(er.embeddings);
-    ++iterations;
-    if (min_ns == 0 || ns < min_ns) min_ns = ns;
-    if (er.embeddings != f.expected_embeddings) {
-      done.store(true, std::memory_order_release);
-      for (std::thread& h : helpers) h.join();
-      state.SkipWithError("embedding count diverged");
-      return;
-    }
-  }
-  done.store(true, std::memory_order_release);
-  for (std::thread& h : helpers) h.join();
-  const double serial_ns =
-      g_measured_serial_ns > 0 ? g_measured_serial_ns : f.serial_ns;
-  state.counters["speedup_vs_serial"] =
-      benchmark::Counter(min_ns > 0 ? serial_ns / min_ns : 0);
-  const StealCounters sc = sched.DrainCounters();
-  state.counters["tasks_stolen_per_enum"] = benchmark::Counter(
-      static_cast<double>(sc.tasks_stolen) /
-      static_cast<double>(std::max<uint64_t>(1, iterations)));
-}
-BENCHMARK(BM_EnumerateSteal)
-    ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)

@@ -15,8 +15,8 @@
 #
 # Snapshots are plain JSON: {suite, threads_available, benchmarks:[{name,
 # iterations, ns_per_op, counters}...]}. threads_available matters when
-# reading the steal benchmarks' speedup_vs_serial counter — thread-scaling
-# numbers are meaningless without knowing how many hardware threads the
+# reading the thread-scaling rows (BM_QueryThroughputCfqlParallel/N):
+# they are meaningless without knowing how many hardware threads the
 # machine actually had.
 set -euo pipefail
 

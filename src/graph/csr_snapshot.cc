@@ -1,10 +1,16 @@
 #include "graph/csr_snapshot.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <span>
+#include <string>
 
 #include "util/mmap_file.h"
 
@@ -20,6 +26,10 @@ constexpr uint64_t kFnvPrime = 1099511628211ull;
 // The payload arrays are stored as raw host words, so the format is defined
 // for little-endian hosts only; foreign files are rejected via the header's
 // endian tag and foreign hosts via this check.
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+
 bool HostIsLittleEndian() {
   const uint32_t probe = 1;
   uint8_t first;
@@ -288,28 +298,40 @@ bool WriteSnapshot(const GraphDatabase& db, const std::string& path,
   PutU64(&header, sum.h);
   header.append(kHeaderBytes - header.size(), '\0');
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    *error = "cannot open for writing: " + path;
+  // Atomic replace: the bytes go to a temp file that is fsync'ed and then
+  // renamed over `path`. A process that still maps the old file keeps its
+  // (now unlinked) inode intact, where truncating in place would turn every
+  // page it touches into SIGBUS.
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  std::unique_ptr<std::FILE, FileCloser> out(std::fopen(tmp.c_str(), "wb"));
+  if (out == nullptr) {
+    *error = "cannot open for writing: " + tmp + ": " + std::strerror(errno);
     return false;
   }
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  out.write(table.data(), static_cast<std::streamsize>(table.size()));
+  bool ok = true;
+  auto put = [&](const void* p, uint64_t bytes) {
+    if (ok && bytes > 0) ok = std::fwrite(p, 1, bytes, out.get()) == bytes;
+  };
+  put(header.data(), header.size());
+  put(table.data(), table.size());
   for (GraphId id = 0; id < db.size(); ++id) {
     for_each_array(db.graph(id), entries[id],
                    [&](const void* p, uint64_t bytes, uint64_t pad) {
-                     if (bytes > 0) {
-                       out.write(static_cast<const char*>(p),
-                                 static_cast<std::streamsize>(bytes));
-                     }
-                     if (pad > 0) {
-                       out.write(kZeros, static_cast<std::streamsize>(pad));
-                     }
+                     put(p, bytes);
+                     put(kZeros, pad);
                    });
   }
-  out.flush();
-  if (!out) {
-    *error = "write failed: " + path;
+  ok = ok && std::fflush(out.get()) == 0 && ::fsync(::fileno(out.get())) == 0;
+  ok = std::fclose(out.release()) == 0 && ok;
+  if (!ok) {
+    *error = "write failed: " + tmp + ": " + std::strerror(errno);
+    std::remove(tmp.c_str());
+    return false;
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    *error = "cannot rename " + tmp + " onto " + path + ": " +
+             std::strerror(errno);
+    std::remove(tmp.c_str());
     return false;
   }
   return true;

@@ -49,8 +49,11 @@ inline constexpr uint32_t kSnapshotVersion = 1;
 // arrays are raw host-endian words, so a byte-swapped load would be wrong).
 inline constexpr uint32_t kSnapshotEndianTag = 0x01020304u;
 
-// Compiles the database into a snapshot file. Returns false + *error on IO
-// failure.
+// Compiles the database into a snapshot file. The file is written under a
+// temporary name (`path` + ".tmp." + pid), fsync'ed and renamed onto
+// `path`, so a reader that still maps an older file at `path` keeps seeing
+// its contents intact. Returns false + *error on IO failure, leaving no
+// temporary file behind.
 bool WriteSnapshot(const GraphDatabase& db, const std::string& path,
                    std::string* error);
 

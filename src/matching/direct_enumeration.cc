@@ -1,9 +1,5 @@
 #include "matching/direct_enumeration.h"
 
-#include <algorithm>
-
-#include "matching/workspace.h"
-#include "util/intersect.h"
 #include "util/logging.h"
 
 namespace sgq {
@@ -26,150 +22,7 @@ std::unique_ptr<FilterData> LabelDegreeFilter(const Graph& query,
   return out;
 }
 
-// ---- Ullmann ----------------------------------------------------------------
-
-struct UllmannState {
-  const Graph& query;
-  const Graph& data;
-  uint64_t limit;
-  DeadlineChecker* checker;
-  const EmbeddingCallback& callback;
-  // Per-depth candidate-matrix pool (MatchWorkspace::ullmann_pool): the
-  // classic copy-on-assign refinement copies into the reserved matrix of
-  // its depth instead of heap-allocating a fresh matrix per search node;
-  // sibling nodes at the same depth recycle the same buffers.
-  std::vector<std::vector<std::vector<VertexId>>>& pool;
-
-  // candidates[u] is the current (mutable) candidate list of u; the search
-  // copies-on-refine per level, Ullmann's matrix style.
-  std::vector<VertexId> mapping;
-  std::vector<bool> used;
-  EnumerateResult result;
-
-  // Ullmann's refinement: drop v from candidates[u] when some neighbor u'
-  // of u has no candidate adjacent to v — an emptiness test of
-  // N(v) ∩ candidates[u'], served by the adaptive early-exit intersection
-  // kernel. Iterates to a fixpoint. Returns false if a list empties.
-  bool Refine(std::vector<std::vector<VertexId>>* candidates) const {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (VertexId u = 0; u < query.NumVertices(); ++u) {
-        auto& set = (*candidates)[u];
-        auto keep_end =
-            std::remove_if(set.begin(), set.end(), [&](VertexId v) {
-              for (VertexId uprime : query.Neighbors(u)) {
-                if (!IntersectNonEmpty(data.Neighbors(v),
-                                       (*candidates)[uprime])) {
-                  return true;
-                }
-              }
-              return false;
-            });
-        if (keep_end != set.end()) {
-          set.erase(keep_end, set.end());
-          changed = true;
-        }
-        if (set.empty()) return false;
-      }
-    }
-    return true;
-  }
-
-  bool Recurse(uint32_t depth,
-               const std::vector<std::vector<VertexId>>& candidates) {
-    if (checker != nullptr && checker->Tick()) {
-      result.aborted = true;
-      return false;
-    }
-    ++result.recursion_calls;
-    if (depth == query.NumVertices()) {
-      ++result.embeddings;
-      if (callback && !callback(mapping)) {
-        result.sink_stopped = true;
-        return false;
-      }
-      return result.embeddings < limit;
-    }
-    const VertexId u = depth;  // Ullmann searches in query-id order
-    for (VertexId v : candidates[u]) {
-      if (used[v]) continue;
-      bool consistent = true;
-      for (VertexId w : query.Neighbors(u)) {
-        if (w < u && !data.HasEdge(mapping[w], v)) {
-          consistent = false;
-          break;
-        }
-      }
-      if (!consistent) continue;
-      // Assign and refine a pooled copy of the matrix (the Ullmann step).
-      // The copy keeps each row's heap buffer; only contents are replaced.
-      auto& narrowed = pool[depth];
-      if (narrowed.size() != candidates.size()) {
-        narrowed.resize(candidates.size());
-      }
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        narrowed[i].assign(candidates[i].begin(), candidates[i].end());
-      }
-      narrowed[u].assign(1, v);
-      mapping[u] = v;
-      used[v] = true;
-      if (Refine(&narrowed)) {
-        if (!Recurse(depth + 1, narrowed)) {
-          used[v] = false;
-          mapping[u] = kInvalidVertex;
-          return false;
-        }
-      }
-      used[v] = false;
-      mapping[u] = kInvalidVertex;
-    }
-    return true;
-  }
-};
-
 }  // namespace
-
-std::unique_ptr<FilterData> UllmannMatcher::Filter(const Graph& query,
-                                                   const Graph& data) const {
-  SGQ_CHECK_GT(query.NumVertices(), 0u);
-  return LabelDegreeFilter(query, data);
-}
-
-EnumerateResult UllmannMatcher::Enumerate(const Graph& query,
-                                          const Graph& data,
-                                          const FilterData& data_aux,
-                                          uint64_t limit,
-                                          DeadlineChecker* checker,
-                                          const EmbeddingCallback& callback)
-    const {
-  MatchWorkspace ws;
-  return Enumerate(query, data, data_aux, limit, checker, &ws, callback);
-}
-
-EnumerateResult UllmannMatcher::Enumerate(const Graph& query,
-                                          const Graph& data,
-                                          const FilterData& data_aux,
-                                          uint64_t limit,
-                                          DeadlineChecker* checker,
-                                          MatchWorkspace* ws,
-                                          const EmbeddingCallback& callback)
-    const {
-  if (!data_aux.Passed() || limit == 0) return {};
-  if (ws->ullmann_pool.size() < query.NumVertices()) {
-    ws->ullmann_pool.resize(query.NumVertices());
-  }
-  UllmannState state{query,    data,  limit, checker, callback,
-                     ws->ullmann_pool, {},   {},      {}};
-  state.mapping.assign(query.NumVertices(), kInvalidVertex);
-  state.used.assign(data.NumVertices(), false);
-  std::vector<std::vector<VertexId>> candidates(query.NumVertices());
-  for (VertexId u = 0; u < query.NumVertices(); ++u) {
-    candidates[u] = data_aux.phi.set(u);
-  }
-  if (state.Refine(&candidates)) state.Recurse(0, candidates);
-  return state.result;
-}
 
 // ---- QuickSI ------------------------------------------------------------------
 

@@ -1,9 +1,8 @@
-// Direct-enumeration subgraph isomorphism algorithms (Section II-B2):
-// Ullmann [32] and QuickSI [28]. Like VF2 they build no auxiliary
-// structure; their Filter() is just the per-vertex label/degree candidate
-// computation they perform at search start, so they slot into the Matcher
-// interface for side-by-side comparison with the preprocessing-enumeration
-// algorithms.
+// Direct-enumeration subgraph isomorphism (Section II-B2): QuickSI [28].
+// Like VF2 it builds no auxiliary structure; its Filter() is just the
+// per-vertex label/degree candidate computation it performs at search
+// start, so it slots into the Matcher interface for side-by-side comparison
+// with the preprocessing-enumeration algorithms.
 #ifndef SGQ_MATCHING_DIRECT_ENUMERATION_H_
 #define SGQ_MATCHING_DIRECT_ENUMERATION_H_
 
@@ -12,34 +11,6 @@
 #include "matching/matcher.h"
 
 namespace sgq {
-
-// Ullmann's algorithm: candidate matrix of label+degree-compatible pairs,
-// searched in query-id order, with the classic refinement procedure — a
-// candidate v of u survives only if every neighbor u' of u still has a
-// candidate among v's neighbors — applied once up front and after every
-// assignment.
-class UllmannMatcher : public Matcher {
- public:
-  const char* name() const override { return "Ullmann"; }
-
-  std::unique_ptr<FilterData> Filter(const Graph& query,
-                                     const Graph& data) const override;
-
-  EnumerateResult Enumerate(const Graph& query, const Graph& data,
-                            const FilterData& data_aux, uint64_t limit,
-                            DeadlineChecker* checker,
-                            const EmbeddingCallback& callback =
-                                nullptr) const override;
-
-  // Workspace variant: the per-depth candidate-matrix pool (one matrix per
-  // search level, copied into instead of freshly allocated per node) comes
-  // from `ws`, so repeated calls run allocation-free once warm.
-  EnumerateResult Enumerate(const Graph& query, const Graph& data,
-                            const FilterData& data_aux, uint64_t limit,
-                            DeadlineChecker* checker, MatchWorkspace* ws,
-                            const EmbeddingCallback& callback =
-                                nullptr) const override;
-};
 
 // QuickSI: orders query vertices by a rare-label-first Prim-style spanning
 // sequence (the QI-sequence; edge weights favor infrequent labels), then

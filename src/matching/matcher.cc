@@ -91,11 +91,6 @@ struct BacktrackContext {
   MatchWorkspace& w;
   const uint32_t epoch;  // current used/Φ-membership stamp epoch
   const ExtensionPath path;
-  // Depth-0 candidate subrange (a steal task's share of phi.set(order[0]);
-  // the whole set for a serial call) and the task's cooperative stop flag.
-  const VertexId* roots_begin;
-  const VertexId* roots_end;
-  const std::atomic<bool>* stop;
 
   std::vector<VertexId>& mapping;  // query vertex -> data vertex
   EnumerateResult result;
@@ -229,30 +224,12 @@ struct BacktrackContext {
     return true;
   }
 
-  // Depth-0 extension over the task's root range. Bit-identical to running
-  // ExtendByProbe over the same candidates: with no backward neighbors the
-  // probe scan degenerates to the used-stamp check TryCandidate performs.
-  bool ExtendRoots() {
-    for (const VertexId* p = roots_begin; p != roots_end; ++p) {
-      if (!TryCandidate(0, order[0], *p)) return false;
-    }
-    return true;
-  }
-
   bool Recurse(uint32_t depth) {
     if (checker != nullptr && checker->Tick()) {
       result.aborted = true;
       return false;
     }
     ++result.recursion_calls;
-    // Steal-safe cancellation: another executor satisfied the global limit
-    // (or aborted the job); unwind without finishing this subtree.
-    if (stop != nullptr &&
-        result.recursion_calls % BacktrackTask::kStopCheckInterval == 0 &&
-        stop->load(std::memory_order_relaxed)) {
-      result.cancelled = true;
-      return false;
-    }
     if (depth == order.size()) {
       ++result.embeddings;
       if (callback && !callback(mapping)) {
@@ -261,7 +238,6 @@ struct BacktrackContext {
       }
       return result.embeddings < limit;
     }
-    if (depth == 0) return ExtendRoots();
     const VertexId u = order[depth];
     if (backward_neighbors[depth].empty() || path == ExtensionPath::kProbe ||
         (path == ExtensionPath::kAdaptive &&
@@ -310,19 +286,6 @@ EnumerateResult BacktrackOverCandidates(const Graph& query, const Graph& data,
                                         const EmbeddingCallback& callback,
                                         MatchWorkspace* ws,
                                         ExtensionPath path) {
-  return BacktrackOverCandidates(query, data, phi, order, limit, checker,
-                                 callback, ws, path, BacktrackTask{});
-}
-
-EnumerateResult BacktrackOverCandidates(const Graph& query, const Graph& data,
-                                        const CandidateSets& phi,
-                                        const std::vector<VertexId>& order,
-                                        uint64_t limit,
-                                        DeadlineChecker* checker,
-                                        const EmbeddingCallback& callback,
-                                        MatchWorkspace* ws,
-                                        ExtensionPath path,
-                                        const BacktrackTask& task) {
   SGQ_CHECK_EQ(order.size(), query.NumVertices());
   if (limit == 0) return {};
   MatchWorkspace local;
@@ -341,20 +304,9 @@ EnumerateResult BacktrackOverCandidates(const Graph& query, const Graph& data,
   EnsureDepthScratch(&w, order.size());
   const uint32_t epoch = w.BeginUsedEpoch(data.NumVertices());
 
-  const std::vector<VertexId>& roots = phi.set(order[0]);
-  const uint32_t root_begin =
-      std::min<uint32_t>(task.root_begin,
-                         static_cast<uint32_t>(roots.size()));
-  const uint32_t root_end = std::max(
-      root_begin, std::min<uint32_t>(task.root_end,
-                                     static_cast<uint32_t>(roots.size())));
-
   BacktrackContext ctx{query,    data, phi,   order, w.backward_neighbors,
                        limit,    checker,     callback,
                        w,        epoch,       path,
-                       roots.data() + root_begin,
-                       roots.data() + root_end,
-                       task.stop,
                        w.mapping, {},         {}};
   ctx.Recurse(0);
   ctx.result.intersect_calls = ctx.counters.calls;

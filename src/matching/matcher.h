@@ -9,7 +9,6 @@
 #ifndef SGQ_MATCHING_MATCHER_H_
 #define SGQ_MATCHING_MATCHER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -56,7 +55,6 @@ struct EnumerateResult {
   uint64_t embeddings = 0;       // found (up to the limit)
   uint64_t recursion_calls = 0;  // search-tree nodes visited
   bool aborted = false;          // deadline expired mid-search
-  bool cancelled = false;        // a BacktrackTask stop flag ended the search
   bool sink_stopped = false;     // the embedding callback returned false
   uint64_t intersect_calls = 0;
   uint64_t intersect_merge = 0;
@@ -171,38 +169,6 @@ EnumerateResult BacktrackOverCandidates(const Graph& query, const Graph& data,
                                         const EmbeddingCallback& callback,
                                         MatchWorkspace* ws,
                                         ExtensionPath path);
-
-// One steal-able unit of the intra-query parallel search: the subtree(s) of
-// the backtracking rooted at a contiguous range of first-level candidates
-// (indices into phi.set(order[0])), plus a cooperative stop flag. The stop
-// flag is polled at kStopCheckInterval-recursion-call granularity; when it
-// fires the search unwinds immediately with result.cancelled set (partial
-// counters, embeddings found so far kept). Used by the work-stealing
-// scheduler in matching/parallel_backtrack.h; the serial entry points above
-// are equivalent to {0, UINT32_MAX, nullptr}.
-struct BacktrackTask {
-  uint32_t root_begin = 0;
-  uint32_t root_end = UINT32_MAX;  // clamped to |phi.set(order[0])|
-  const std::atomic<bool>* stop = nullptr;
-
-  // Recursion calls between stop-flag polls: coarse enough that the load is
-  // invisible in the hot loop, fine enough that cancellation latency stays
-  // in the microseconds.
-  static constexpr uint64_t kStopCheckInterval = 256;
-};
-
-// Task-granular overload: the full signature used by the intra-query
-// parallel scheduler. Enumerates only the search subtrees whose depth-0
-// candidate lies in [task.root_begin, task.root_end).
-EnumerateResult BacktrackOverCandidates(const Graph& query, const Graph& data,
-                                        const CandidateSets& phi,
-                                        const std::vector<VertexId>& order,
-                                        uint64_t limit,
-                                        DeadlineChecker* checker,
-                                        const EmbeddingCallback& callback,
-                                        MatchWorkspace* ws,
-                                        ExtensionPath path,
-                                        const BacktrackTask& task);
 
 // The join-based ordering of GraphQL: start from the query vertex with the
 // fewest candidates; repeatedly append the neighbor of the selected set with

@@ -21,11 +21,6 @@ size_t MatchWorkspace::MemoryBytes() const {
   bytes += local_b.capacity() * sizeof(std::vector<VertexId>);
   for (const auto& v : local_b) bytes += v.capacity() * sizeof(VertexId);
   bytes += adj_by_size.capacity() * sizeof(std::pair<uint32_t, VertexId>);
-  for (const auto& matrix : ullmann_pool) {
-    bytes += matrix.capacity() * sizeof(std::vector<VertexId>);
-    for (const auto& row : matrix) bytes += row.capacity() * sizeof(VertexId);
-  }
-  bytes += ullmann_pool.capacity() * sizeof(std::vector<std::vector<VertexId>>);
   bytes += reverse_mapping.capacity() * sizeof(VertexId);
   bytes += term_query.capacity() * sizeof(uint32_t);
   bytes += term_data.capacity() * sizeof(uint32_t);

@@ -113,11 +113,6 @@ class MatchWorkspace {
   // shared buffer serves every depth.
   std::vector<std::pair<uint32_t, VertexId>> adj_by_size;
 
-  // Ullmann's per-depth candidate-matrix pool: Recurse(depth) copies the
-  // current matrix into ullmann_pool[depth] (reusing each row's capacity)
-  // instead of heap-allocating a fresh matrix per search node.
-  std::vector<std::vector<std::vector<VertexId>>> ullmann_pool;
-
   // Starts a fresh used/Φ-membership epoch sized for `num_data_vertices`
   // and returns the new epoch value. Grows (never shrinks) the stamp array;
   // on the (theoretical) 2^32 wrap every stamp is wholesale-reset so stale

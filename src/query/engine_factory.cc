@@ -172,10 +172,6 @@ std::unique_ptr<QueryEngine> MakeEngine(const std::string& name,
     return std::make_unique<VcfvEngine>(name,
                                         std::make_unique<TurboIsoMatcher>());
   }
-  if (name == "Ullmann") {
-    return std::make_unique<VcfvEngine>(name,
-                                        std::make_unique<UllmannMatcher>());
-  }
   if (name == "QuickSI") {
     return std::make_unique<VcfvEngine>(name,
                                         std::make_unique<QuickSiMatcher>());
@@ -189,19 +185,6 @@ std::unique_ptr<QueryEngine> MakeEngine(const std::string& name,
         name, [] { return std::make_unique<CfqlMatcher>(); },
         config.parallel_threads, config.parallel_chunk);
   }
-  // CFQL is the matcher contract intra mode depends on: its Enumerate() is
-  // JoinBasedOrder + BacktrackOverCandidates, which the steal scheduler
-  // reproduces task-by-task.
-  if (name == "CFQL-parallel-intra") {
-    IntraQueryConfig intra;
-    intra.enabled = true;
-    intra.steal_chunk = config.steal_chunk;
-    intra.intra_threads = config.intra_threads;
-    intra.heavy_threshold = config.intra_heavy_threshold;
-    return std::make_unique<ParallelVcfvEngine>(
-        name, [] { return std::make_unique<CfqlMatcher>(); },
-        config.parallel_threads, config.parallel_chunk, intra);
-  }
   if (name == "VF2-scan") {
     return std::make_unique<Vf2ScanEngine>();
   }
@@ -212,8 +195,7 @@ std::unique_ptr<QueryEngine> MakeEngine(const std::string& name,
 bool IsKnownEngine(const std::string& name) {
   static const std::vector<std::string>& kExtensions =
       *new std::vector<std::string>{"MinedPath", "GraphGrep", "TurboIso",
-                                    "Ullmann",   "QuickSI",   "SPath",
-                                    "CFQL-parallel", "CFQL-parallel-intra",
+                                    "QuickSI",   "SPath",     "CFQL-parallel",
                                     "VF2-scan"};
   for (const std::string& n : AllEngineNames()) {
     if (n == name) return true;

@@ -28,13 +28,6 @@ struct EngineConfig {
   // scheduling chunk (0 = auto, see ThreadPool::DefaultChunk).
   uint32_t parallel_threads = 0;
   uint32_t parallel_chunk = 0;
-  // CFQL-parallel-intra knobs (see IntraQueryConfig): root candidates per
-  // steal-able task (0 = auto), cap on executors allowed to steal
-  // intra-query tasks (0 = all), and the first-level candidate count at
-  // which an enumeration is split (0 = auto).
-  uint32_t steal_chunk = 0;
-  uint32_t intra_threads = 0;
-  uint32_t intra_heavy_threshold = 0;
   // Query-result cache budget in MiB (0 disables). Consumed by the front
   // ends that sit above the engines — the query service and `sgq_cli
   // query` — not by the engines themselves; it lives here so every front
@@ -52,16 +45,12 @@ struct EngineConfig {
 //        "CFL", "GraphQL", "CFQL"     (vcFV);
 //        "vcGrapes", "vcGGSX"         (IvcFV);
 //        "VF2-scan"                   (naive baseline: VF2 on every graph);
-//        "TurboIso", "Ullmann", "QuickSI", "SPath" (extensions, vcFV-style);
+//        "TurboIso", "QuickSI", "SPath" (extensions, vcFV-style);
 //        "GraphGrep"                  (extension: hash-table path IFV index);
 //        "MinedPath"                  (extension: gIndex-style mining-based
 //                                      path index);
 //        "CFQL-parallel"              (extension: vcFV partitioned across
-//                                      worker threads);
-//        "CFQL-parallel-intra"        (extension: CFQL-parallel plus
-//                                      intra-query work-stealing — heavy
-//                                      enumerations split across idle
-//                                      workers, results bit-identical).
+//                                      worker threads).
 // Aborts on unknown names.
 std::unique_ptr<QueryEngine> MakeEngine(const std::string& name,
                                         const EngineConfig& config = {});

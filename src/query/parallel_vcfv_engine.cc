@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <map>
 #include <mutex>
-#include <string_view>
-#include <thread>
 
 #include "util/logging.h"
 #include "util/timer.h"
@@ -54,23 +51,10 @@ void FoldAccumulators(const std::vector<SlotAccumulator>& accumulators,
 
 ParallelVcfvEngine::ParallelVcfvEngine(
     std::string name, std::function<std::unique_ptr<Matcher>()> matcher_factory,
-    uint32_t num_threads, uint32_t chunk_size, IntraQueryConfig intra)
+    uint32_t num_threads, uint32_t chunk_size)
     : name_(std::move(name)),
       chunk_size_(chunk_size),
-      intra_(intra),
       pool_(std::make_unique<ThreadPool>(num_threads)) {
-  // SGQ_INTRA_STEAL overrides the configuration, mirroring SGQ_CACHE: "on"
-  // forces stealing with heavy_threshold=1 so even small enumerations run
-  // through the scheduler (the CI determinism-stress leg), "off" disables.
-  if (const char* env = std::getenv("SGQ_INTRA_STEAL")) {
-    const std::string_view v(env);
-    if (v == "on") {
-      intra_.enabled = true;
-      intra_.heavy_threshold = 1;
-    } else if (v == "off") {
-      intra_.enabled = false;
-    }
-  }
   // One slot per ParallelFor executor: every pool thread plus the calling
   // thread, which participates in the chunk loop under the last slot id.
   const uint32_t num_slots = pool_->num_threads() + 1;
@@ -78,11 +62,6 @@ ParallelVcfvEngine::ParallelVcfvEngine(
   for (uint32_t i = 0; i < num_slots; ++i) {
     slots_.push_back(std::make_unique<WorkerSlot>());
     slots_.back()->matcher = matcher_factory();
-  }
-  if (intra_.enabled) {
-    scheduler_ = std::make_unique<StealScheduler>(
-        num_slots, StealConfig{intra_.steal_chunk, intra_.intra_threads,
-                               intra_.heavy_threshold});
   }
 }
 
@@ -94,8 +73,12 @@ bool ParallelVcfvEngine::Prepare(const GraphDatabase& db, Deadline deadline) {
 
 QueryResult ParallelVcfvEngine::Query(const Graph& query,
                                       Deadline deadline) const {
+  return Query(query, deadline, nullptr);
+}
+
+QueryResult ParallelVcfvEngine::Query(const Graph& query, Deadline deadline,
+                                      ResultSink* sink) const {
   SGQ_CHECK(db_ != nullptr) << name_ << ": call Prepare() first";
-  if (scheduler_ != nullptr) return QueryIntra(query, deadline);
   QueryResult result;
   // A deadline that expired before we start (e.g. while the request sat in
   // a service admission queue) is the OOT outcome with zero work done.
@@ -108,94 +91,7 @@ QueryResult ParallelVcfvEngine::Query(const Graph& query,
 
   std::vector<SlotAccumulator> accumulators(executors);
   std::atomic<bool> timed_out{false};
-
-  uint64_t ws_hits_before = 0, ws_misses_before = 0;
-  for (const auto& slot : slots_) {
-    ws_hits_before += slot->workspace.filter_hits();
-    ws_misses_before += slot->workspace.filter_misses();
-  }
-
-  const size_t chunk = chunk_size_ != 0
-                           ? chunk_size_
-                           : ThreadPool::DefaultChunk(num_graphs, executors);
-  pool_->ParallelFor(
-      num_graphs, chunk, [&](size_t begin, size_t end, uint32_t slot_id) {
-        if (timed_out.load(std::memory_order_relaxed)) return;
-        WorkerSlot& slot = *slots_[slot_id];
-        SlotAccumulator& acc = accumulators[slot_id];
-        DeadlineChecker checker(deadline);
-        WallTimer timer;
-        for (size_t g = begin; g < end; ++g) {
-          if (timed_out.load(std::memory_order_relaxed)) return;
-          const Graph& data = db_->graph(static_cast<GraphId>(g));
-
-          timer.Restart();
-          const FilterData* filter_data =
-              slot.matcher->Filter(query, data, &slot.workspace);
-          acc.filter_nanos += timer.ElapsedNanos();
-          acc.max_aux = std::max(acc.max_aux, filter_data->MemoryBytes());
-
-          if (filter_data->Passed()) {
-            ++acc.candidates;
-            timer.Restart();
-            const EnumerateResult er =
-                slot.matcher->Enumerate(query, data, *filter_data,
-                                        /*limit=*/1, &checker,
-                                        &slot.workspace);
-            acc.verify_nanos += timer.ElapsedNanos();
-            ++acc.si_tests;
-            acc.counters.AddCounters(er);
-            if (er.embeddings > 0) {
-              acc.answers.push_back(static_cast<GraphId>(g));
-            }
-            if (er.aborted) {
-              timed_out.store(true, std::memory_order_relaxed);
-              return;
-            }
-          }
-          if (deadline.Expired()) {
-            timed_out.store(true, std::memory_order_relaxed);
-            return;
-          }
-        }
-      });
-
-  FoldAccumulators(accumulators, executors, &result);
-  result.stats.timed_out = timed_out.load();
-
-  uint64_t ws_hits_after = 0, ws_misses_after = 0;
-  for (const auto& slot : slots_) {
-    ws_hits_after += slot->workspace.filter_hits();
-    ws_misses_after += slot->workspace.filter_misses();
-  }
-  result.stats.ws_filter_hits = ws_hits_after - ws_hits_before;
-  result.stats.ws_filter_misses = ws_misses_after - ws_misses_before;
-  return result;
-}
-
-QueryResult ParallelVcfvEngine::Query(const Graph& query, Deadline deadline,
-                                      ResultSink* sink) const {
-  SGQ_CHECK(db_ != nullptr) << name_ << ": call Prepare() first";
-  if (sink == nullptr) return Query(query, deadline);
-  return QueryStreaming(query, deadline, sink);
-}
-
-QueryResult ParallelVcfvEngine::QueryStreaming(const Graph& query,
-                                               Deadline deadline,
-                                               ResultSink* sink) const {
-  QueryResult result;
-  if (deadline.Expired()) {
-    result.stats.timed_out = true;
-    return result;
-  }
-  const size_t num_graphs = db_->size();
-  const uint32_t executors = pool_->num_threads() + 1;
-
-  std::vector<SlotAccumulator> accumulators(executors);
-  std::atomic<bool> timed_out{false};
   std::atomic<bool> stop{false};  // the sink asked to stop
-  std::atomic<size_t> next{0};
-  std::atomic<uint32_t> scanning{executors};
 
   uint64_t ws_hits_before = 0, ws_misses_before = 0;
   for (const auto& slot : slots_) {
@@ -207,10 +103,11 @@ QueryResult ParallelVcfvEngine::QueryStreaming(const Graph& query,
                            ? chunk_size_
                            : ThreadPool::DefaultChunk(num_graphs, executors);
 
-  // Ordered chunk reassembly: chunks are the contiguous ranges
-  // [k*chunk, (k+1)*chunk); a finished chunk parks its answers until every
-  // earlier chunk has emitted, so the sink sees exactly the ascending-id
-  // sequence the sorted batch answers would hold — at any executor count.
+  // Ordered chunk reassembly (sink mode only): ParallelFor's chunks are the
+  // contiguous ranges [k*chunk, (k+1)*chunk); a finished chunk parks its
+  // answers until every earlier chunk has emitted, so the sink sees exactly
+  // the ascending-id sequence the sorted batch answers would hold — at any
+  // executor count.
   std::mutex emit_mu;
   std::map<size_t, std::vector<GraphId>> parked;
   size_t frontier = 0;
@@ -236,253 +133,63 @@ QueryResult ParallelVcfvEngine::QueryStreaming(const Graph& query,
     if (delivered) sink->FlushHint();
   };
 
-  auto worker = [&](uint32_t slot_id) {
-    WorkerSlot& slot = *slots_[slot_id];
-    SlotAccumulator& acc = accumulators[slot_id];
-    DeadlineChecker checker(deadline);
-    WallTimer timer;
-    bool bail = false;
-    while (!bail) {
-      const size_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= num_graphs) break;
-      const size_t end = std::min(begin + chunk, num_graphs);
-      std::vector<GraphId> chunk_answers;
-      for (size_t g = begin; g < end && !bail; ++g) {
-        if (timed_out.load(std::memory_order_relaxed) ||
-            stop.load(std::memory_order_relaxed)) {
-          bail = true;
-          break;
-        }
-        const Graph& data = db_->graph(static_cast<GraphId>(g));
+  pool_->ParallelFor(
+      num_graphs, chunk, [&](size_t begin, size_t end, uint32_t slot_id) {
+        WorkerSlot& slot = *slots_[slot_id];
+        SlotAccumulator& acc = accumulators[slot_id];
+        std::vector<GraphId> chunk_answers;
+        std::vector<GraphId>& out = sink != nullptr ? chunk_answers
+                                                    : acc.answers;
+        DeadlineChecker checker(deadline);
+        WallTimer timer;
+        for (size_t g = begin; g < end; ++g) {
+          if (timed_out.load(std::memory_order_relaxed) ||
+              stop.load(std::memory_order_relaxed)) {
+            break;
+          }
+          const Graph& data = db_->graph(static_cast<GraphId>(g));
 
-        timer.Restart();
-        const FilterData* filter_data =
-            slot.matcher->Filter(query, data, &slot.workspace);
-        acc.filter_nanos += timer.ElapsedNanos();
-        acc.max_aux = std::max(acc.max_aux, filter_data->MemoryBytes());
-
-        if (filter_data->Passed()) {
-          ++acc.candidates;
           timer.Restart();
-          EnumerateResult er;
-          if (scheduler_ != nullptr) {
-            const std::vector<VertexId>& order =
-                JoinBasedOrder(query, filter_data->phi, &slot.workspace);
-            if (scheduler_->ShouldSplit(
-                    filter_data->phi.set(order[0]).size())) {
-              er = scheduler_->Enumerate(slot_id, query, data,
-                                         filter_data->phi, order,
-                                         /*limit=*/1, deadline, nullptr,
-                                         &slot.workspace,
-                                         DefaultExtensionPath());
-            } else {
-              er = BacktrackOverCandidates(query, data, filter_data->phi,
-                                           order, /*limit=*/1, &checker,
-                                           nullptr, &slot.workspace,
-                                           DefaultExtensionPath());
+          const FilterData* filter_data =
+              slot.matcher->Filter(query, data, &slot.workspace);
+          acc.filter_nanos += timer.ElapsedNanos();
+          acc.max_aux = std::max(acc.max_aux, filter_data->MemoryBytes());
+
+          if (filter_data->Passed()) {
+            ++acc.candidates;
+            timer.Restart();
+            const EnumerateResult er =
+                slot.matcher->Enumerate(query, data, *filter_data,
+                                        /*limit=*/1, &checker,
+                                        &slot.workspace);
+            acc.verify_nanos += timer.ElapsedNanos();
+            ++acc.si_tests;
+            acc.counters.AddCounters(er);
+            if (er.embeddings > 0) out.push_back(static_cast<GraphId>(g));
+            if (er.aborted) {
+              timed_out.store(true, std::memory_order_relaxed);
+              break;
             }
-          } else {
-            er = slot.matcher->Enumerate(query, data, *filter_data,
-                                         /*limit=*/1, &checker,
-                                         &slot.workspace);
           }
-          acc.verify_nanos += timer.ElapsedNanos();
-          ++acc.si_tests;
-          acc.counters.AddCounters(er);
-          if (er.embeddings > 0) {
-            chunk_answers.push_back(static_cast<GraphId>(g));
-          }
-          if (er.aborted) {
+          if (deadline.Expired()) {
             timed_out.store(true, std::memory_order_relaxed);
-            bail = true;
             break;
           }
         }
-        if (deadline.Expired()) {
-          timed_out.store(true, std::memory_order_relaxed);
-          bail = true;
-        }
-      }
-      // Partial chunks (timeout bail) register too: the frontier can then
-      // pass them, matching the batch path's keep-what-was-confirmed
-      // behavior on TIMEOUT.
-      emit_chunk(begin, std::move(chunk_answers));
-    }
-    scanning.fetch_sub(1, std::memory_order_release);
-    if (scheduler_ == nullptr || !scheduler_->CanHelp(slot_id)) return;
-    timer.Restart();
-    bool helped = false;
-    while (scanning.load(std::memory_order_acquire) > 0 ||
-           scheduler_->HasPendingTasks()) {
-      if (scheduler_->TryHelp(slot_id, &slot.workspace)) {
-        helped = true;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-    if (helped) acc.verify_nanos += timer.ElapsedNanos();
-  };
-
-  for (uint32_t i = 0; i < pool_->num_threads(); ++i) {
-    pool_->Submit([&worker, i] { worker(i); });
-  }
-  worker(executors - 1);
-  pool_->Wait();
-
-  // Counters fold as in the batch path; the answers are the emitted prefix
-  // (already ascending), not the per-slot union.
-  FoldAccumulators(accumulators, executors, &result);
-  result.answers = std::move(emitted);
-  result.stats.num_answers = result.answers.size();
-  result.stats.timed_out = timed_out.load();
-
-  if (scheduler_ != nullptr) {
-    const StealCounters sc = scheduler_->DrainCounters();
-    result.stats.tasks_spawned = sc.tasks_spawned;
-    result.stats.tasks_stolen = sc.tasks_stolen;
-    result.stats.tasks_aborted = sc.tasks_aborted;
-  }
-
-  uint64_t ws_hits_after = 0, ws_misses_after = 0;
-  for (const auto& slot : slots_) {
-    ws_hits_after += slot->workspace.filter_hits();
-    ws_misses_after += slot->workspace.filter_misses();
-  }
-  result.stats.ws_filter_hits = ws_hits_after - ws_hits_before;
-  result.stats.ws_filter_misses = ws_misses_after - ws_misses_before;
-  return result;
-}
-
-QueryResult ParallelVcfvEngine::QueryIntra(const Graph& query,
-                                           Deadline deadline) const {
-  QueryResult result;
-  if (deadline.Expired()) {
-    result.stats.timed_out = true;
-    return result;
-  }
-  const size_t num_graphs = db_->size();
-  const uint32_t executors = pool_->num_threads() + 1;
-
-  std::vector<SlotAccumulator> accumulators(executors);
-  std::atomic<bool> timed_out{false};
-  // Graph hand-out counter — the ParallelFor loop, inlined so an executor
-  // that drains the range can fall through into the help phase below
-  // instead of exiting the parallel region.
-  std::atomic<size_t> next{0};
-  // Executors still in the scan loop. Owners block inside
-  // StealScheduler::Enumerate until their job's last task retires, so once
-  // this reaches zero no job is in flight and helpers may leave.
-  std::atomic<uint32_t> scanning{executors};
-
-  uint64_t ws_hits_before = 0, ws_misses_before = 0;
-  for (const auto& slot : slots_) {
-    ws_hits_before += slot->workspace.filter_hits();
-    ws_misses_before += slot->workspace.filter_misses();
-  }
-
-  const size_t chunk = chunk_size_ != 0
-                           ? chunk_size_
-                           : ThreadPool::DefaultChunk(num_graphs, executors);
-
-  auto worker = [&](uint32_t slot_id) {
-    WorkerSlot& slot = *slots_[slot_id];
-    SlotAccumulator& acc = accumulators[slot_id];
-    DeadlineChecker checker(deadline);
-    WallTimer timer;
-    bool bail = false;
-    while (!bail) {
-      const size_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= num_graphs) break;
-      const size_t end = std::min(begin + chunk, num_graphs);
-      for (size_t g = begin; g < end && !bail; ++g) {
-        if (timed_out.load(std::memory_order_relaxed)) {
-          bail = true;
-          break;
-        }
-        const Graph& data = db_->graph(static_cast<GraphId>(g));
-
-        timer.Restart();
-        const FilterData* filter_data =
-            slot.matcher->Filter(query, data, &slot.workspace);
-        acc.filter_nanos += timer.ElapsedNanos();
-        acc.max_aux = std::max(acc.max_aux, filter_data->MemoryBytes());
-
-        if (filter_data->Passed()) {
-          ++acc.candidates;
-          timer.Restart();
-          // The matcher contract for intra engines: Enumerate() is
-          // JoinBasedOrder + BacktrackOverCandidates (GraphQL/CFQL family),
-          // so splitting the same order across the scheduler is
-          // bit-identical to the matcher's own call.
-          const std::vector<VertexId>& order =
-              JoinBasedOrder(query, filter_data->phi, &slot.workspace);
-          EnumerateResult er;
-          if (scheduler_->ShouldSplit(
-                  filter_data->phi.set(order[0]).size())) {
-            er = scheduler_->Enumerate(slot_id, query, data,
-                                       filter_data->phi, order,
-                                       /*limit=*/1, deadline, nullptr,
-                                       &slot.workspace,
-                                       DefaultExtensionPath());
-          } else {
-            er = BacktrackOverCandidates(query, data, filter_data->phi,
-                                         order, /*limit=*/1, &checker,
-                                         nullptr, &slot.workspace,
-                                         DefaultExtensionPath());
-          }
-          acc.verify_nanos += timer.ElapsedNanos();
-          ++acc.si_tests;
-          acc.counters.AddCounters(er);
-          if (er.embeddings > 0) {
-            acc.answers.push_back(static_cast<GraphId>(g));
-          }
-          if (er.aborted) {
-            timed_out.store(true, std::memory_order_relaxed);
-            bail = true;
-            break;
-          }
-        }
-        if (deadline.Expired()) {
-          timed_out.store(true, std::memory_order_relaxed);
-          bail = true;
-        }
-      }
-    }
-    // Scan share drained (or timed out): help the executors still working
-    // on heavy graphs instead of idling out of the parallel region. The
-    // release decrement pairs with the acquire loads below.
-    scanning.fetch_sub(1, std::memory_order_release);
-    if (!scheduler_->CanHelp(slot_id)) return;
-    timer.Restart();
-    bool helped = false;
-    while (scanning.load(std::memory_order_acquire) > 0 ||
-           scheduler_->HasPendingTasks()) {
-      if (scheduler_->TryHelp(slot_id, &slot.workspace)) {
-        helped = true;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-    // Help time lands in verification: that is the phase the stolen tasks
-    // belong to. Only charged when a task was actually run, so pure
-    // yield-spinning does not inflate the estimate (see DESIGN.md on the
-    // residual fuzziness).
-    if (helped) acc.verify_nanos += timer.ElapsedNanos();
-  };
-
-  for (uint32_t i = 0; i < pool_->num_threads(); ++i) {
-    pool_->Submit([&worker, i] { worker(i); });
-  }
-  worker(executors - 1);  // the caller participates under the last slot id
-  pool_->Wait();
+        // Cut-short chunks (timeout or sink stop) register too, so the
+        // frontier can pass them: on TIMEOUT the sink still receives every
+        // answer confirmed before the scan stopped, like the batch result.
+        if (sink != nullptr) emit_chunk(begin, std::move(chunk_answers));
+      });
 
   FoldAccumulators(accumulators, executors, &result);
+  if (sink != nullptr) {
+    // The answers are the emitted prefix (already ascending), not the
+    // per-slot union.
+    result.answers = std::move(emitted);
+    result.stats.num_answers = result.answers.size();
+  }
   result.stats.timed_out = timed_out.load();
-
-  const StealCounters sc = scheduler_->DrainCounters();
-  result.stats.tasks_spawned = sc.tasks_spawned;
-  result.stats.tasks_stolen = sc.tasks_stolen;
-  result.stats.tasks_aborted = sc.tasks_aborted;
 
   uint64_t ws_hits_after = 0, ws_misses_after = 0;
   for (const auto& slot : slots_) {

@@ -28,29 +28,11 @@
 #include <vector>
 
 #include "matching/matcher.h"
-#include "matching/parallel_backtrack.h"
 #include "matching/workspace.h"
 #include "query/query_engine.h"
 #include "util/thread_pool.h"
 
 namespace sgq {
-
-// Intra-query parallelism knobs. When enabled, a heavy enumeration (one
-// whose first-level candidate set reaches heavy_threshold) is split into
-// steal-able tasks on a StealScheduler instead of pinning its executor, and
-// executors whose share of the graph scan drains join those tasks instead
-// of exiting the parallel region. Requires a matcher whose Enumerate() is
-// JoinBasedOrder + BacktrackOverCandidates (the GraphQL/CFQL family) — the
-// engine factory only wires intra mode for those. The SGQ_INTRA_STEAL
-// environment variable overrides: "on" enables with heavy_threshold=1 (every
-// verification runs through the scheduler — the determinism-stress setting),
-// "off" disables.
-struct IntraQueryConfig {
-  bool enabled = false;
-  uint32_t steal_chunk = 0;      // StealConfig::chunk (0 = auto)
-  uint32_t intra_threads = 0;    // StealConfig::intra_threads (0 = all)
-  uint32_t heavy_threshold = 0;  // StealConfig::heavy_threshold (0 = auto)
-};
 
 class ParallelVcfvEngine : public QueryEngine {
  public:
@@ -61,8 +43,7 @@ class ParallelVcfvEngine : public QueryEngine {
   // automatically from the database size).
   ParallelVcfvEngine(std::string name,
                      std::function<std::unique_ptr<Matcher>()> matcher_factory,
-                     uint32_t num_threads = 0, uint32_t chunk_size = 0,
-                     IntraQueryConfig intra = {});
+                     uint32_t num_threads = 0, uint32_t chunk_size = 0);
 
   const char* name() const override { return name_.c_str(); }
 
@@ -70,11 +51,14 @@ class ParallelVcfvEngine : public QueryEngine {
 
   QueryResult Query(const Graph& query, Deadline deadline) const override;
 
-  // Streaming scan: workers claim contiguous graph chunks and a chunk-order
-  // reassembly buffer emits each chunk's answers the moment every earlier
-  // chunk has been emitted, so the sink sees ascending ids identical to the
-  // (sorted) batch answers at any thread count. A sink stop cancels the
-  // remaining scan; result.answers is the emitted prefix.
+  // The one scan loop: executors claim contiguous graph chunks through
+  // ThreadPool::ParallelFor. With no sink each chunk's answers land in the
+  // slot's accumulator and are sorted at the end. With a sink a chunk-order
+  // reassembly buffer emits each finished chunk's answers the moment every
+  // earlier chunk has been emitted, so the sink sees ascending ids identical
+  // to the (sorted) batch answers at any thread count; a sink stop cancels
+  // the remaining scan and result.answers is the emitted prefix. On TIMEOUT
+  // both modes keep every answer confirmed before the scan stopped.
   QueryResult Query(const Graph& query, Deadline deadline,
                     ResultSink* sink) const override;
 
@@ -82,7 +66,6 @@ class ParallelVcfvEngine : public QueryEngine {
 
   uint32_t num_threads() const { return pool_->num_threads(); }
   uint32_t chunk_size() const { return chunk_size_; }
-  bool intra_enabled() const { return scheduler_ != nullptr; }
 
  private:
   struct WorkerSlot {
@@ -90,24 +73,9 @@ class ParallelVcfvEngine : public QueryEngine {
     MatchWorkspace workspace;
   };
 
-  // The scan loop with intra-query stealing: heavy enumerations are split
-  // across the scheduler; drained executors help until the last one
-  // finishes its range.
-  QueryResult QueryIntra(const Graph& query, Deadline deadline) const;
-
-  // The streaming scan loop behind Query(..., sink): dynamic contiguous
-  // chunk hand-out + ordered chunk emission; uses the steal scheduler for
-  // heavy enumerations when intra mode is on.
-  QueryResult QueryStreaming(const Graph& query, Deadline deadline,
-                             ResultSink* sink) const;
-
   std::string name_;
   uint32_t chunk_size_;
-  IntraQueryConfig intra_;
   std::unique_ptr<ThreadPool> pool_;
-  // Present iff intra-query stealing is enabled; sized to the executor
-  // count (pool threads + caller).
-  std::unique_ptr<StealScheduler> scheduler_;
   // One slot per executor (pool threads + the participating caller);
   // ParallelFor guarantees a slot is driven by at most one thread at a
   // time, so slots need no locks. Mutable because the

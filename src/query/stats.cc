@@ -50,9 +50,6 @@ std::string ToJson(const QueryStats& stats) {
   AppendField(&out, "intersect_gallop", stats.intersect_gallop);
   AppendField(&out, "intersect_simd", stats.intersect_simd);
   AppendField(&out, "local_candidates", stats.local_candidates);
-  AppendField(&out, "tasks_spawned", stats.tasks_spawned);
-  AppendField(&out, "tasks_stolen", stats.tasks_stolen);
-  AppendField(&out, "tasks_aborted", stats.tasks_aborted);
   out += "}";
   return out;
 }

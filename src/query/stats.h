@@ -45,13 +45,6 @@ struct QueryStats {
   uint64_t intersect_gallop = 0;
   uint64_t intersect_simd = 0;
   uint64_t local_candidates = 0;
-  // Intra-query work-stealing counters (zero unless the engine runs with
-  // intra-query parallelism): tasks seeded from first-level candidate
-  // chunks, tasks executed by a non-owner executor, and tasks cancelled by
-  // the stop flag or the deadline.
-  uint64_t tasks_spawned = 0;
-  uint64_t tasks_stolen = 0;
-  uint64_t tasks_aborted = 0;
 
   double QueryMs() const { return filtering_ms + verification_ms; }
 };

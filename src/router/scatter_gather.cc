@@ -103,9 +103,6 @@ MergedQuery MergeShardResults(const std::vector<ShardQueryReply>& replies,
     out.stats.intersect_gallop += s.intersect_gallop;
     out.stats.intersect_simd += s.intersect_simd;
     out.stats.local_candidates += s.local_candidates;
-    out.stats.tasks_spawned += s.tasks_spawned;
-    out.stats.tasks_stolen += s.tasks_stolen;
-    out.stats.tasks_aborted += s.tasks_aborted;
   }
   // Shards partition the database, so the id sets are disjoint — a plain
   // sort rebuilds the unsharded ascending order, independent of which

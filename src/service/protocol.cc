@@ -477,9 +477,6 @@ bool ParseQueryStatsJson(std::string_view json, QueryStats* stats) {
   JsonUint(json, "intersect_gallop", &stats->intersect_gallop);
   JsonUint(json, "intersect_simd", &stats->intersect_simd);
   JsonUint(json, "local_candidates", &stats->local_candidates);
-  JsonUint(json, "tasks_spawned", &stats->tasks_spawned);
-  JsonUint(json, "tasks_stolen", &stats->tasks_stolen);
-  JsonUint(json, "tasks_aborted", &stats->tasks_aborted);
   return true;
 }
 

@@ -116,9 +116,6 @@ std::string ServiceStatsSnapshot::ToJson() const {
   AppendField(&out, "verification_ms_total", verification_ms_total);
   AppendField(&out, "intersect_calls_total", intersect_calls_total);
   AppendField(&out, "local_candidates_total", local_candidates_total);
-  AppendField(&out, "tasks_spawned_total", tasks_spawned_total);
-  AppendField(&out, "tasks_stolen_total", tasks_stolen_total);
-  AppendField(&out, "tasks_aborted_total", tasks_aborted_total);
   AppendField(&out, "queue_peak", queue_peak);
   AppendField(&out, "queue_depth", queue_depth);
   AppendField(&out, "in_flight", in_flight);
@@ -420,9 +417,6 @@ void QueryService::WorkerLoop(uint32_t worker_id) {
       stats_.verification_ms_total += response.result.stats.verification_ms;
       stats_.intersect_calls_total += response.result.stats.intersect_calls;
       stats_.local_candidates_total += response.result.stats.local_candidates;
-      stats_.tasks_spawned_total += response.result.stats.tasks_spawned;
-      stats_.tasks_stolen_total += response.result.stats.tasks_stolen;
-      stats_.tasks_aborted_total += response.result.stats.tasks_aborted;
     }
     if (shared) ++singleflight_shared_;
     lock.unlock();

@@ -139,11 +139,6 @@ struct ServiceStatsSnapshot {
   // intersect_* fields of QueryStats).
   uint64_t intersect_calls_total = 0;
   uint64_t local_candidates_total = 0;
-  // Intra-query work-stealing totals (zero unless the engine runs with
-  // intra-query parallelism; see the tasks_* fields of QueryStats).
-  uint64_t tasks_spawned_total = 0;
-  uint64_t tasks_stolen_total = 0;
-  uint64_t tasks_aborted_total = 0;
   uint64_t queue_peak = 0;  // high-water mark of the pending queue
   uint64_t queue_depth = 0; // currently pending
   uint64_t in_flight = 0;   // currently executing

@@ -3,8 +3,8 @@
 // Every operand is a strictly-increasing (duplicate-free) sequence of 32-bit
 // ids — adjacency lists, candidate sets Φ(u), and index posting lists all
 // share that shape, so one kernel family serves the backtracking extension
-// step, CFL's candidate-space refinement, Ullmann's matrix refinement, and
-// the mined-path posting intersection.
+// step, CFL's candidate-space refinement, and the mined-path posting
+// intersection.
 //
 // Three kernels plus a dispatcher:
 //   * IntersectMergeInto   — linear two-pointer merge, O(|a| + |b|); best

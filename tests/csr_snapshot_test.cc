@@ -4,6 +4,8 @@
 #include "graph/csr_snapshot.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -95,6 +97,50 @@ TEST(CsrSnapshotTest, RoundTripEquality) {
     EXPECT_TRUE(loaded.graph(i).IsMapped());
   }
   std::remove(path.c_str());
+}
+
+TEST(CsrSnapshotTest, RewriteKeepsLiveMappingIntact) {
+  // Recompiling a snapshot while a reader still maps it: the rewrite
+  // replaces the file by rename, so the old inode — and every page of the
+  // live mapping — survives. An in-place truncating write would change the
+  // mapped bytes and fault (SIGBUS) on pages past the new, shorter end.
+  const std::string path = TempPath("rewrite_while_mapped");
+  const GraphDatabase original = SmallDatabase();
+  std::string error;
+  ASSERT_TRUE(WriteSnapshot(original, path, &error)) << error;
+  GraphDatabase mapped;
+  ASSERT_TRUE(LoadSnapshot(path, &mapped, &error)) << error;
+  ASSERT_TRUE(mapped.graph(0).IsMapped());
+
+  SyntheticParams params;
+  params.num_graphs = 2;
+  params.vertices_per_graph = 10;
+  params.degree = 2.0;
+  params.num_labels = 3;
+  params.seed = 7;
+  const GraphDatabase replacement = GenerateSyntheticDatabase(params);
+  ASSERT_FALSE(DatabasesEqual(original, replacement));
+  ASSERT_TRUE(WriteSnapshot(replacement, path, &error)) << error;
+
+  EXPECT_TRUE(DatabasesEqual(mapped, original));
+  GraphDatabase fresh;
+  ASSERT_TRUE(LoadSnapshot(path, &fresh, &error)) << error;
+  EXPECT_TRUE(DatabasesEqual(fresh, replacement));
+  EXPECT_FALSE(std::ifstream(path + ".tmp." + std::to_string(::getpid())));
+  std::remove(path.c_str());
+}
+
+TEST(CsrSnapshotTest, FailedRenameLeavesNoTempFile) {
+  // The target is a directory, so the temp file is written and then the
+  // rename fails: the error is reported and the temp file removed.
+  const std::string dir = TempPath("directory_target");
+  ::rmdir(dir.c_str());  // a leftover from an interrupted run
+  ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0);
+  std::string error;
+  EXPECT_FALSE(WriteSnapshot(SmallDatabase(), dir, &error));
+  EXPECT_NE(error.find("cannot rename"), std::string::npos) << error;
+  EXPECT_FALSE(std::ifstream(dir + ".tmp." + std::to_string(::getpid())));
+  ::rmdir(dir.c_str());
 }
 
 TEST(CsrSnapshotTest, AutoDetectedByLoadDatabase) {

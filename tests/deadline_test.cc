@@ -29,7 +29,7 @@ GraphDatabase SmallDb() {
 // Every engine the factory can build, paper algorithms and extensions.
 std::vector<std::string> EveryEngineName() {
   std::vector<std::string> names = AllEngineNames();
-  names.insert(names.end(), {"TurboIso", "Ullmann", "QuickSI", "SPath",
+  names.insert(names.end(), {"TurboIso", "QuickSI", "SPath",
                              "GraphGrep", "MinedPath", "CFQL-parallel",
                              "VF2-scan"});
   return names;

@@ -1,11 +1,10 @@
-// White-box tests of the direct-enumeration baselines (Ullmann, QuickSI).
+// White-box tests of the direct-enumeration baseline QuickSI.
 #include "matching/direct_enumeration.h"
 
 #include <gtest/gtest.h>
 
 #include "gen/graph_gen.h"
 #include "graph/graph_utils.h"
-#include "matching/brute_force.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -13,41 +12,8 @@
 namespace sgq {
 namespace {
 
-using ::sgq::testing::MakeCycle;
 using ::sgq::testing::MakeGraph;
 using ::sgq::testing::MakePath;
-
-TEST(UllmannTest, RefinementPreemptsHopelessSearch) {
-  // Triangle query against a long unlabeled path: label/degree filtering
-  // leaves interior path vertices as candidates (degree 2 each), but
-  // Ullmann's refinement empties the matrix before any search node is
-  // expanded — recursion_calls must be zero.
-  const Graph q = MakeCycle({0, 0, 0});
-  const Graph g = MakePath({0, 0, 0, 0, 0, 0});
-  UllmannMatcher matcher;
-  const auto data = matcher.Filter(q, g);
-  ASSERT_TRUE(data->Passed());  // LDF alone does not rule the path out
-  const EnumerateResult r =
-      matcher.Enumerate(q, g, *data, UINT64_MAX, nullptr);
-  EXPECT_EQ(r.embeddings, 0u);
-  // Arc-consistency cannot see the triangle at the top level, but the
-  // post-assignment refinement kills every branch at depth 1: the search
-  // tree stays tiny instead of exploring all interior-vertex pairs.
-  EXPECT_LE(r.recursion_calls, 4u);
-}
-
-TEST(UllmannTest, SearchesInQueryIdOrder) {
-  // Disconnected-prefix orders are fine for Ullmann: it checks all mapped
-  // neighbors regardless of order. Exercise a query whose vertex 1 is not
-  // adjacent to vertex 0.
-  const Graph q = MakeGraph({0, 1, 2}, {{0, 2}, {1, 2}});
-  const Graph g = MakeGraph({0, 1, 2, 0}, {{0, 2}, {1, 2}, {2, 3}});
-  UllmannMatcher matcher;
-  const auto data = matcher.Filter(q, g);
-  ASSERT_TRUE(data->Passed());
-  EXPECT_EQ(matcher.Enumerate(q, g, *data, UINT64_MAX, nullptr).embeddings,
-            BruteForceEnumerate(q, g, UINT64_MAX));
-}
 
 TEST(QuickSiTest, OrderStartsAtRarestLabel) {
   // QuickSI's QI-sequence starts at the query vertex whose label is rarest
@@ -71,37 +37,29 @@ TEST(QuickSiTest, OrderStartsAtRarestLabel) {
 
 TEST(DirectEnumerationTest, DeadlineBoundsRuntime) {
   // Full enumeration over a dense unlabeled instance is astronomically
-  // large; a millisecond deadline must bound the wall time (either the
-  // search aborts or — for Ullmann — per-branch refinement finishes it).
+  // large; a millisecond deadline must bound the wall time.
   Rng rng(17);
   std::vector<Label> labels = {0};
   const Graph q = GenerateRandomGraph(10, 5.0, labels, &rng);
   const Graph g = GenerateRandomGraph(120, 8.0, labels, &rng);
-  for (Matcher* matcher :
-       std::initializer_list<Matcher*>{new UllmannMatcher, new QuickSiMatcher}) {
-    const auto data = matcher->Filter(q, g);
-    if (data->Passed()) {
-      DeadlineChecker tight{Deadline::AfterSeconds(1e-3)};
-      WallTimer timer;
-      matcher->Enumerate(q, g, *data, UINT64_MAX, &tight);
-      EXPECT_LT(timer.ElapsedSeconds(), 5.0) << matcher->name();
-    }
-    delete matcher;
+  QuickSiMatcher matcher;
+  const auto data = matcher.Filter(q, g);
+  if (data->Passed()) {
+    DeadlineChecker tight{Deadline::AfterSeconds(1e-3)};
+    WallTimer timer;
+    matcher.Enumerate(q, g, *data, UINT64_MAX, &tight);
+    EXPECT_LT(timer.ElapsedSeconds(), 5.0);
   }
 }
 
 TEST(DirectEnumerationTest, SingleVertexQueries) {
   const Graph q = MakeGraph({3}, {});
   const Graph g = MakeGraph({3, 3, 0}, {{0, 1}, {1, 2}});
-  for (Matcher* matcher :
-       std::initializer_list<Matcher*>{new UllmannMatcher, new QuickSiMatcher}) {
-    const auto data = matcher->Filter(q, g);
-    ASSERT_TRUE(data->Passed());
-    EXPECT_EQ(matcher->Enumerate(q, g, *data, UINT64_MAX, nullptr).embeddings,
-              2u)
-        << matcher->name();
-    delete matcher;
-  }
+  QuickSiMatcher matcher;
+  const auto data = matcher.Filter(q, g);
+  ASSERT_TRUE(data->Passed());
+  EXPECT_EQ(matcher.Enumerate(q, g, *data, UINT64_MAX, nullptr).embeddings,
+            2u);
 }
 
 }  // namespace

@@ -101,8 +101,6 @@ TEST(ExhaustiveSmallQueryTest, AllMatchersAllShapes) {
   matchers.push_back(std::make_unique<TurboIsoMatcher>());
   matchers.push_back(std::make_unique<QuickSiMatcher>());
   matchers.push_back(std::make_unique<SPathMatcher>());
-  // (Ullmann is excluded only for runtime: its per-node matrix refinement
-  // over ~26k (query, graph) pairs makes this test minutes long.)
 
   Vf2 vf2;
   for (const Graph& g : data) {

@@ -24,11 +24,20 @@ TEST(EngineFactoryTest, PaperEngineListMatchesTableThree) {
 TEST(EngineFactoryTest, EveryAdvertisedEngineConstructs) {
   for (const char* name :
        {"CT-Index", "Grapes", "GGSX", "CFL", "GraphQL", "CFQL", "vcGrapes",
-        "vcGGSX", "VF2-scan", "TurboIso", "Ullmann", "QuickSI", "SPath",
-        "GraphGrep", "MinedPath", "CFQL-parallel"}) {
+        "vcGGSX", "VF2-scan", "TurboIso", "QuickSI", "SPath", "GraphGrep",
+        "MinedPath", "CFQL-parallel"}) {
+    EXPECT_TRUE(IsKnownEngine(name)) << name;
     auto engine = MakeEngine(name);
     ASSERT_NE(engine, nullptr) << name;
     EXPECT_STREQ(engine->name(), name);
+  }
+}
+
+TEST(EngineFactoryTest, RetiredEngineNamesAreUnknown) {
+  // Engines that were deleted must be refused by the front ends' name
+  // check, not reach the Fatal abort inside MakeEngine.
+  for (const char* name : {"CFQL-parallel-intra", "Ullmann", "NoSuchEngine"}) {
+    EXPECT_FALSE(IsKnownEngine(name)) << name;
   }
 }
 

@@ -32,7 +32,6 @@ std::unique_ptr<Matcher> MakeMatcher(const std::string& name) {
   if (name == "CFL") return std::make_unique<CflMatcher>();
   if (name == "CFQL") return std::make_unique<CfqlMatcher>();
   if (name == "TurboIso") return std::make_unique<TurboIsoMatcher>();
-  if (name == "Ullmann") return std::make_unique<UllmannMatcher>();
   if (name == "QuickSI") return std::make_unique<QuickSiMatcher>();
   if (name == "SPath") return std::make_unique<SPathMatcher>();
   // Option variants: every ablation knob must stay correct, not just the
@@ -209,8 +208,7 @@ TEST_P(MatcherTest, RandomizedAgainstBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(AllMatchers, MatcherTest,
                          ::testing::Values("GraphQL", "CFL", "CFQL",
-                                           "TurboIso", "Ullmann", "QuickSI",
-                                           "SPath"),
+                                           "TurboIso", "QuickSI", "SPath"),
                          [](const auto& info) { return info.param; });
 
 INSTANTIATE_TEST_SUITE_P(OptionVariants, MatcherTest,

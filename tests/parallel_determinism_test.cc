@@ -4,18 +4,13 @@
 // (threads, chunk) combination must reproduce the serial vcFV result exactly.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <limits>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "gen/graph_gen.h"
 #include "gen/query_gen.h"
-#include "matching/cfl.h"
 #include "matching/cfql.h"
 #include "matching/matcher.h"
-#include "matching/parallel_backtrack.h"
 #include "query/engine_factory.h"
 #include "query/parallel_vcfv_engine.h"
 #include "util/intersect.h"
@@ -175,215 +170,6 @@ TEST(ParallelDeterminismTest, WorkspaceHitRateClimbsAfterWarmup) {
   // The acceptance bar for the workload: >90% of Filter() calls recycled.
   EXPECT_GT(static_cast<double>(hits) / static_cast<double>(hits + misses),
             0.9);
-}
-
-// ---- intra-query stealing (this PR's tentpole) -----------------------------
-
-TEST(ParallelDeterminismTest, IntraStealingMatchesSerialAcrossKnobs) {
-  // heavy_threshold=1 routes EVERY enumeration through the StealScheduler,
-  // so this sweep exercises the split/steal/merge machinery on each of the
-  // workload's graphs rather than only the occasional heavy one.
-  const GraphDatabase db = MakeDb(11, 72);
-  const std::vector<Graph> queries = MakeQueries(db, 6, 23);
-
-  auto serial = MakeEngine("CFQL");
-  ASSERT_TRUE(serial->Prepare(db, Deadline::Infinite()));
-  std::vector<QueryResult> expected;
-  for (const Graph& q : queries) expected.push_back(serial->Query(q));
-
-  for (uint32_t threads : {1u, 2u, 4u}) {
-    for (uint32_t steal_chunk : {1u, 3u, 16u}) {
-      IntraQueryConfig intra;
-      intra.enabled = true;
-      intra.steal_chunk = steal_chunk;
-      intra.heavy_threshold = 1;
-      ParallelVcfvEngine parallel(
-          "CFQL-parallel-intra", [] { return std::make_unique<CfqlMatcher>(); },
-          threads, /*chunk_size=*/3, intra);
-      ASSERT_TRUE(parallel.intra_enabled());
-      ASSERT_TRUE(parallel.Prepare(db, Deadline::Infinite()));
-      for (size_t i = 0; i < queries.size(); ++i) {
-        const QueryResult actual =
-            parallel.Query(queries[i], Deadline::Infinite());
-        SCOPED_TRACE(::testing::Message()
-                     << "threads=" << threads << " steal_chunk=" << steal_chunk
-                     << " query=" << i);
-        EXPECT_EQ(actual.answers, expected[i].answers);
-        EXPECT_EQ(actual.stats.num_candidates,
-                  expected[i].stats.num_candidates);
-        EXPECT_EQ(actual.stats.si_tests, expected[i].stats.si_tests);
-        EXPECT_FALSE(actual.stats.timed_out);
-      }
-    }
-  }
-}
-
-TEST(ParallelDeterminismTest, IntraStealingExtensionPathsAgree) {
-  const ExtensionPath saved_path = DefaultExtensionPath();
-  const GraphDatabase db = MakeDb(19, 56);
-  const std::vector<Graph> queries = MakeQueries(db, 4, 37);
-
-  SetDefaultExtensionPath(ExtensionPath::kProbe);
-  auto serial = MakeEngine("CFQL");
-  ASSERT_TRUE(serial->Prepare(db, Deadline::Infinite()));
-  std::vector<QueryResult> expected;
-  for (const Graph& q : queries) expected.push_back(serial->Query(q));
-
-  for (const ExtensionPath path :
-       {ExtensionPath::kProbe, ExtensionPath::kIntersect,
-        ExtensionPath::kAdaptive}) {
-    SetDefaultExtensionPath(path);
-    IntraQueryConfig intra;
-    intra.enabled = true;
-    intra.steal_chunk = 2;
-    intra.heavy_threshold = 1;
-    ParallelVcfvEngine parallel(
-        "CFQL-parallel-intra", [] { return std::make_unique<CfqlMatcher>(); },
-        4, 3, intra);
-    ASSERT_TRUE(parallel.Prepare(db, Deadline::Infinite()));
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const QueryResult actual =
-          parallel.Query(queries[i], Deadline::Infinite());
-      SCOPED_TRACE(::testing::Message() << "path=" << static_cast<int>(path)
-                                        << " query=" << i);
-      EXPECT_EQ(actual.answers, expected[i].answers);
-      EXPECT_EQ(actual.stats.num_candidates, expected[i].stats.num_candidates);
-      EXPECT_EQ(actual.stats.si_tests, expected[i].stats.si_tests);
-    }
-  }
-  SetDefaultExtensionPath(saved_path);
-}
-
-// Scheduler-level determinism: the merged embedding SEQUENCE (not just the
-// count) must be bit-identical to serial BacktrackOverCandidates for every
-// (executors, chunk, limit) combination, including limits that force
-// truncation mid-merge.
-TEST(ParallelDeterminismTest, StealSchedulerEmbeddingSequencesBitIdentical) {
-  Rng rng(99);
-  std::vector<Label> labels{0, 1, 2};
-  GraphDatabase db;
-  db.Add(GenerateRandomGraph(300, 8.0, labels, &rng));
-  const Graph& data = db.graph(0);
-  Graph query;
-  while (!GenerateQuery(db, QueryKind::kDense, 6, &rng, &query)) {
-  }
-  const CflMatcher matcher;
-  const auto filtered = matcher.Filter(query, data);
-  ASSERT_TRUE(filtered->Passed());
-  const std::vector<VertexId> order = JoinBasedOrder(query, filtered->phi);
-  ASSERT_GT(filtered->phi.set(order[0]).size(), 1u);
-
-  // Serial reference: full enumeration, flat embedding stream.
-  MatchWorkspace serial_ws;
-  std::vector<VertexId> serial_all;
-  const EnumerateResult serial_full = BacktrackOverCandidates(
-      query, data, filtered->phi, order,
-      std::numeric_limits<uint64_t>::max(), nullptr,
-      [&serial_all](const std::vector<VertexId>& m) {
-        serial_all.insert(serial_all.end(), m.begin(), m.end());
-        return true;
-      },
-      &serial_ws, DefaultExtensionPath());
-  ASSERT_GT(serial_full.embeddings, 10u);
-  const size_t stride = query.NumVertices();
-
-  for (const uint64_t limit : {uint64_t{1}, uint64_t{7}, serial_full.embeddings}) {
-    // Serial truncated reference for this limit.
-    const std::vector<VertexId> serial_flat(
-        serial_all.begin(), serial_all.begin() + limit * stride);
-    for (const uint32_t executors : {2u, 4u}) {
-      for (const uint32_t chunk : {1u, 2u, 5u}) {
-        SCOPED_TRACE(::testing::Message() << "limit=" << limit << " executors="
-                                          << executors << " chunk=" << chunk);
-        StealConfig config;
-        config.chunk = chunk;
-        config.heavy_threshold = 1;
-        StealScheduler sched(executors, config);
-        std::atomic<bool> done{false};
-        std::vector<std::thread> helpers;
-        for (uint32_t t = 1; t < executors; ++t) {
-          helpers.emplace_back([&sched, &done, t] {
-            MatchWorkspace helper_ws;
-            while (!done.load(std::memory_order_acquire)) {
-              if (!sched.TryHelp(t, &helper_ws)) std::this_thread::yield();
-            }
-          });
-        }
-        std::vector<VertexId> steal_flat;
-        MatchWorkspace owner_ws;
-        const EnumerateResult stolen = sched.Enumerate(
-            0, query, data, filtered->phi, order, limit, Deadline::Infinite(),
-            [&steal_flat](const std::vector<VertexId>& m) {
-              steal_flat.insert(steal_flat.end(), m.begin(), m.end());
-              return true;
-            },
-            &owner_ws, DefaultExtensionPath());
-        done.store(true, std::memory_order_release);
-        for (std::thread& h : helpers) h.join();
-        EXPECT_EQ(stolen.embeddings, limit);
-        EXPECT_FALSE(stolen.aborted);
-        EXPECT_EQ(steal_flat, serial_flat);
-      }
-    }
-  }
-}
-
-TEST(ParallelDeterminismTest, StealSchedulerPreExpiredDeadlineAborts) {
-  Rng rng(7);
-  std::vector<Label> labels{0, 1};
-  GraphDatabase db;
-  db.Add(GenerateRandomGraph(200, 6.0, labels, &rng));
-  const Graph& data = db.graph(0);
-  Graph query;
-  while (!GenerateQuery(db, QueryKind::kSparse, 5, &rng, &query)) {
-  }
-  const CflMatcher matcher;
-  const auto filtered = matcher.Filter(query, data);
-  ASSERT_TRUE(filtered->Passed());
-  const std::vector<VertexId> order = JoinBasedOrder(query, filtered->phi);
-
-  StealScheduler sched(2, StealConfig{});
-  MatchWorkspace ws;
-  // Deterministic regardless of thread timing: an already-expired deadline
-  // aborts before any task runs, every time.
-  for (int rep = 0; rep < 3; ++rep) {
-    uint64_t calls = 0;
-    const EnumerateResult er = sched.Enumerate(
-        0, query, data, filtered->phi, order,
-        std::numeric_limits<uint64_t>::max(), Deadline::AfterSeconds(-1.0),
-        [&calls](const std::vector<VertexId>&) {
-          ++calls;
-          return true;
-        },
-        &ws, DefaultExtensionPath());
-    EXPECT_TRUE(er.aborted);
-    EXPECT_EQ(er.embeddings, 0u);
-    EXPECT_EQ(calls, 0u);
-  }
-}
-
-TEST(ParallelDeterminismTest, IntraStealingReportsTaskStats) {
-  const GraphDatabase db = MakeDb(3, 40);
-  const std::vector<Graph> queries = MakeQueries(db, 3, 17);
-  IntraQueryConfig intra;
-  intra.enabled = true;
-  intra.heavy_threshold = 1;  // every enumeration splits -> tasks guaranteed
-  intra.steal_chunk = 1;
-  ParallelVcfvEngine engine(
-      "CFQL-parallel-intra", [] { return std::make_unique<CfqlMatcher>(); }, 4,
-      2, intra);
-  ASSERT_TRUE(engine.Prepare(db, Deadline::Infinite()));
-
-  uint64_t spawned = 0;
-  for (const Graph& q : queries) {
-    const QueryResult r = engine.Query(q, Deadline::Infinite());
-    EXPECT_FALSE(r.stats.timed_out);
-    spawned += r.stats.tasks_spawned;
-    // Counters drain per query — stolen/aborted never exceed spawned.
-    EXPECT_LE(r.stats.tasks_stolen + r.stats.tasks_aborted,
-              r.stats.tasks_spawned);
-  }
-  EXPECT_GT(spawned, 0u);
 }
 
 }  // namespace

@@ -15,10 +15,7 @@
 //   sgq_cli stats    --db db.txt
 //   sgq_cli query    --db db.txt --queries queries.txt [--engine CFQL]
 //                    [--time-limit 600] [--build-limit 86400]
-//                    [--threads N] [--chunk K]   (CFQL-parallel family)
-//                    [--intra-threads N] [--steal-chunk K]
-//                    (CFQL-parallel-intra only: cap on workers stealing
-//                    intra-query tasks, root candidates per stolen task)
+//                    [--threads N] [--chunk K]   (CFQL-parallel only)
 //                    [--cache-mb 64]   (0 or SGQ_CACHE=off disables the
 //                    result cache; repeated/isomorphic queries in the set
 //                    are then served from memory)
@@ -272,9 +269,8 @@ class FirstAnswerSink : public ResultSink {
 
 int CmdQuery(const Flags& flags) {
   if (!flags.Validate({"db", "queries", "engine", "time-limit", "build-limit",
-                       "threads", "chunk", "intra-threads", "steal-chunk",
-                       "format", "cache-mb", "stream", "candidate-index",
-                       "candidate-index-min"})) {
+                       "threads", "chunk", "format", "cache-mb", "stream",
+                       "candidate-index", "candidate-index-min"})) {
     return 2;
   }
   const std::string format = flags.Get("format", "text");
@@ -298,10 +294,6 @@ int CmdQuery(const Flags& flags) {
   config.parallel_threads =
       static_cast<uint32_t>(flags.GetDouble("threads", 0));
   config.parallel_chunk = static_cast<uint32_t>(flags.GetDouble("chunk", 0));
-  config.intra_threads =
-      static_cast<uint32_t>(flags.GetDouble("intra-threads", 0));
-  config.steal_chunk =
-      static_cast<uint32_t>(flags.GetDouble("steal-chunk", 0));
   config.cache_mb = static_cast<size_t>(
       flags.GetDouble("cache-mb", static_cast<double>(config.cache_mb)));
   config.candidate_index_min_vertices =
@@ -503,8 +495,7 @@ int CmdCrosscheck(const Flags& flags) {
 
   std::vector<std::string> names = AllEngineNames();
   names.insert(names.end(), {"TurboIso", "GraphGrep", "MinedPath",
-                             "CFQL-parallel", "CFQL-parallel-intra",
-                             "VF2-scan"});
+                             "CFQL-parallel", "VF2-scan"});
   struct Row {
     std::string name;
     double prep_ms = 0;

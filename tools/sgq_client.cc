@@ -27,7 +27,10 @@
 // connections. Latency is measured from the moment the request has been
 // written to the first byte of its response — connection setup (and any
 // mid-run reconnect) is excluded, so routed and direct runs compare
-// apples-to-apples.
+// apples-to-apples. Percentiles, throughput and the --bench-json record
+// count served replies only (OK or TIMEOUT): an OVERLOADED refusal or a
+// BAD reply comes back almost at once and would flatter them. Refusals
+// stay counted in the summary line.
 //
 // --stream 1 sends STREAM queries: answer ids arrive as incremental IDS
 // chunk lines before the terminal OK/TIMEOUT line. The summary then also
@@ -125,6 +128,12 @@ double PercentileMs(const std::vector<double>& sorted_ms, double q) {
   const size_t rank = static_cast<size_t>(
       std::max(1.0, std::ceil(q / 100.0 * sorted_ms.size())));
   return sorted_ms[std::min(rank, sorted_ms.size()) - 1];
+}
+
+// True for a reply the server actually served (OK, or TIMEOUT with the
+// answers confirmed so far) — the only replies whose latency is recorded.
+bool Served(const std::string& line) {
+  return line.rfind("OK", 0) == 0 || line.rfind("TIMEOUT", 0) == 0;
 }
 
 void CountResponse(const std::string& line, OutcomeCounts* counts) {
@@ -282,7 +291,7 @@ int RunQueries(const sgq_tools::Flags& flags) {
             ++counts.dropped;
             break;
           }
-          thread_mutation_ms.push_back(latency_ms);
+          if (Served(line)) thread_mutation_ms.push_back(latency_ms);
           GraphId gid = 0;
           if (remove) {
             if (ParseRemovedResponse(line, &gid)) added_gids.pop_back();
@@ -332,16 +341,18 @@ int RunQueries(const sgq_tools::Flags& flags) {
           ++counts.dropped;
           break;
         }
-        thread_latencies_ms.push_back(latency_ms);
-        if (stream && first_embedding_ms >= 0) {
-          thread_first_embedding_ms.push_back(first_embedding_ms);
-        }
         if (stream) {
           // The terminal count must equal what was streamed.
           const ResponseHead head = ParseResponseHead(line);
           if (head.has_count && head.num_answers != streamed_ids) {
             ++counts.bad;
             continue;
+          }
+        }
+        if (Served(line)) {
+          thread_latencies_ms.push_back(latency_ms);
+          if (stream && first_embedding_ms >= 0) {
+            thread_first_embedding_ms.push_back(first_embedding_ms);
           }
         }
         if (line.rfind("OVERLOADED", 0) == 0) {

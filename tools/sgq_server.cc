@@ -8,10 +8,7 @@
 //              [--engine CFQL]
 //              [--workers 2] [--queue 64] [--default-timeout 600]
 //              [--build-limit 86400] [--max-request-bytes 16777216]
-//              [--threads N] [--chunk K]     (CFQL-parallel family)
-//              [--intra-threads N] [--steal-chunk K]
-//              (CFQL-parallel-intra only: cap on workers stealing
-//              intra-query tasks, root candidates per stolen task)
+//              [--threads N] [--chunk K]     (CFQL-parallel only)
 //              [--cache-mb 64] [--cache on|off]
 //              [--sched fifo|sjf] [--sched-threshold 10000]
 //              (cost-aware two-class scheduler; SGQ_SCHED overrides)
@@ -72,7 +69,6 @@ int Usage() {
                "[--build-limit 86400]\n"
                "                  [--max-request-bytes N] [--threads N] "
                "[--chunk K]\n"
-               "                  [--intra-threads N] [--steal-chunk K]\n"
                "                  [--cache-mb 64] [--cache on|off] "
                "[--shard-of i/M]\n"
                "                  [--sched fifo|sjf] "
@@ -90,8 +86,7 @@ int main(int argc, char** argv) {
   if (!flags.ok() ||
       !flags.Validate({"db", "socket", "port", "host", "engine", "workers",
                        "queue", "default-timeout", "build-limit",
-                       "max-request-bytes", "threads", "chunk",
-                       "intra-threads", "steal-chunk", "cache-mb",
+                       "max-request-bytes", "threads", "chunk", "cache-mb",
                        "cache", "shard-of", "sched", "sched-threshold",
                        "snapshot", "candidate-index",
                        "candidate-index-min"})) {
@@ -130,10 +125,6 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(flags.GetDouble("threads", 0));
   service_config.engine.parallel_chunk =
       static_cast<uint32_t>(flags.GetDouble("chunk", 0));
-  service_config.engine.intra_threads =
-      static_cast<uint32_t>(flags.GetDouble("intra-threads", 0));
-  service_config.engine.steal_chunk =
-      static_cast<uint32_t>(flags.GetDouble("steal-chunk", 0));
   const std::string cache_switch = flags.Get("cache", "on");
   if (cache_switch != "on" && cache_switch != "off") {
     std::fprintf(stderr, "--cache must be on or off\n");
