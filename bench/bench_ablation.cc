@@ -26,7 +26,7 @@
 #include "matching/cfl.h"
 #include "matching/cfql.h"
 #include "matching/graphql.h"
-#include "query/vcfv_engine.h"
+#include "query/filter_verify_engine.h"
 #include "util/timer.h"
 
 namespace {
@@ -50,7 +50,7 @@ Workload MakeWorkload() {
 
 void RunVcfv(const Workload& w, const char* label,
              std::unique_ptr<Matcher> matcher) {
-  VcfvEngine engine(label, std::move(matcher));
+  FilterVerifyEngine engine(label, /*index=*/nullptr, std::move(matcher));
   engine.Prepare(w.db, Deadline::Infinite());
   for (const QuerySet& set : w.sets) {
     std::vector<QueryResult> results;

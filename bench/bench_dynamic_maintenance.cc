@@ -33,7 +33,7 @@
 #include "gen/query_gen.h"
 #include "index/grapes_index.h"
 #include "query/engine_factory.h"
-#include "query/ifv_engine.h"
+#include "query/filter_verify_engine.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -66,7 +66,8 @@ int main() {
   Rng rng(99);
 
   auto grapes_rebuild = MakeEngine("Grapes");
-  IfvEngine grapes_incremental("Grapes", std::make_unique<GrapesIndex>());
+  FilterVerifyEngine grapes_incremental(
+      "Grapes", std::make_unique<GrapesIndex>(), /*matcher=*/nullptr);
   auto cfql = MakeEngine("CFQL");
   grapes_incremental.Prepare(db, Deadline::Infinite());
   cfql->Prepare(db, Deadline::Infinite());

@@ -15,7 +15,7 @@
 #include "gen/query_gen.h"
 #include "index/grapes_index.h"
 #include "query/engine_factory.h"
-#include "query/ifv_engine.h"
+#include "query/filter_verify_engine.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -30,8 +30,8 @@ int main() {
   sgq::Rng rng(99);
 
   auto grapes_rebuild = sgq::MakeEngine("Grapes");
-  sgq::IfvEngine grapes_incremental("Grapes",
-                                    std::make_unique<sgq::GrapesIndex>());
+  sgq::FilterVerifyEngine grapes_incremental(
+      "Grapes", std::make_unique<sgq::GrapesIndex>(), /*matcher=*/nullptr);
   auto cfql = sgq::MakeEngine("CFQL");
   grapes_incremental.Prepare(db, sgq::Deadline::Infinite());
   cfql->Prepare(db, sgq::Deadline::Infinite());

@@ -58,6 +58,11 @@ std::unique_ptr<QueryEngine> MakeEngine(const std::string& name,
 // The eight competing algorithms of Table III, in paper order.
 const std::vector<std::string>& AllEngineNames();
 
+// Every name MakeEngine accepts: AllEngineNames() first, then the
+// extensions and the VF2-scan baseline. The one list that crosscheck,
+// IsKnownEngine and the engine tests iterate.
+const std::vector<std::string>& KnownEngineNames();
+
 // True iff MakeEngine(name) would succeed. Front ends (CLI, server) use
 // this to reject bad --engine values with an error instead of the Fatal
 // abort inside MakeEngine.

@@ -5,8 +5,8 @@
 #include <map>
 #include <mutex>
 
+#include "query/filter_verify_engine.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace sgq {
 
@@ -14,38 +14,8 @@ namespace {
 
 struct SlotAccumulator {
   std::vector<GraphId> answers;
-  uint64_t candidates = 0;
-  uint64_t si_tests = 0;
-  size_t max_aux = 0;
-  int64_t filter_nanos = 0;
-  int64_t verify_nanos = 0;
-  EnumerateResult counters;  // intersect_*/local_candidates sums
+  ScanCounters counters;
 };
-
-// Merges the per-slot accumulators into the result, sorts the answers, and
-// converts the summed phase nanos to the parallel wall-clock estimate (see
-// the convention in query/stats.h).
-void FoldAccumulators(const std::vector<SlotAccumulator>& accumulators,
-                      uint32_t executors, QueryResult* result) {
-  int64_t filter_nanos = 0, verify_nanos = 0;
-  for (const SlotAccumulator& acc : accumulators) {
-    result->answers.insert(result->answers.end(), acc.answers.begin(),
-                           acc.answers.end());
-    result->stats.num_candidates += acc.candidates;
-    result->stats.si_tests += acc.si_tests;
-    AddIntersectCounters(&result->stats, acc.counters);
-    result->stats.aux_memory_bytes =
-        std::max(result->stats.aux_memory_bytes, acc.max_aux);
-    filter_nanos += acc.filter_nanos;
-    verify_nanos += acc.verify_nanos;
-  }
-  std::sort(result->answers.begin(), result->answers.end());
-  result->stats.num_answers = result->answers.size();
-  result->stats.filtering_ms =
-      static_cast<double>(filter_nanos) / executors / 1e6;
-  result->stats.verification_ms =
-      static_cast<double>(verify_nanos) / executors / 1e6;
-}
 
 }  // namespace
 
@@ -69,11 +39,6 @@ bool ParallelVcfvEngine::Prepare(const GraphDatabase& db, Deadline deadline) {
   (void)deadline;
   db_ = &db;
   return true;
-}
-
-QueryResult ParallelVcfvEngine::Query(const Graph& query,
-                                      Deadline deadline) const {
-  return Query(query, deadline, nullptr);
 }
 
 QueryResult ParallelVcfvEngine::Query(const Graph& query, Deadline deadline,
@@ -141,37 +106,16 @@ QueryResult ParallelVcfvEngine::Query(const Graph& query, Deadline deadline,
         std::vector<GraphId>& out = sink != nullptr ? chunk_answers
                                                     : acc.answers;
         DeadlineChecker checker(deadline);
-        WallTimer timer;
         for (size_t g = begin; g < end; ++g) {
           if (timed_out.load(std::memory_order_relaxed) ||
               stop.load(std::memory_order_relaxed)) {
             break;
           }
-          const Graph& data = db_->graph(static_cast<GraphId>(g));
-
-          timer.Restart();
-          const FilterData* filter_data =
-              slot.matcher->Filter(query, data, &slot.workspace);
-          acc.filter_nanos += timer.ElapsedNanos();
-          acc.max_aux = std::max(acc.max_aux, filter_data->MemoryBytes());
-
-          if (filter_data->Passed()) {
-            ++acc.candidates;
-            timer.Restart();
-            const EnumerateResult er =
-                slot.matcher->Enumerate(query, data, *filter_data,
-                                        /*limit=*/1, &checker,
-                                        &slot.workspace);
-            acc.verify_nanos += timer.ElapsedNanos();
-            ++acc.si_tests;
-            acc.counters.AddCounters(er);
-            if (er.embeddings > 0) out.push_back(static_cast<GraphId>(g));
-            if (er.aborted) {
-              timed_out.store(true, std::memory_order_relaxed);
-              break;
-            }
-          }
-          if (deadline.Expired()) {
+          const GraphVerdict verdict = VerifyGraph(
+              query, db_->graph(static_cast<GraphId>(g)), slot.matcher.get(),
+              /*vf2=*/Vf2(), &checker, &slot.workspace, &acc.counters);
+          if (verdict.contained) out.push_back(static_cast<GraphId>(g));
+          if (verdict.aborted || deadline.Expired()) {
             timed_out.store(true, std::memory_order_relaxed);
             break;
           }
@@ -182,13 +126,23 @@ QueryResult ParallelVcfvEngine::Query(const Graph& query, Deadline deadline,
         if (sink != nullptr) emit_chunk(begin, std::move(chunk_answers));
       });
 
-  FoldAccumulators(accumulators, executors, &result);
-  if (sink != nullptr) {
-    // The answers are the emitted prefix (already ascending), not the
-    // per-slot union.
-    result.answers = std::move(emitted);
-    result.stats.num_answers = result.answers.size();
+  // Merge the per-slot accumulators; the phase times become the parallel
+  // wall-clock estimate (see the convention in query/stats.h).
+  ScanCounters counters;
+  for (const SlotAccumulator& acc : accumulators) {
+    counters.Add(acc.counters);
+    result.answers.insert(result.answers.end(), acc.answers.begin(),
+                          acc.answers.end());
   }
+  counters.FoldInto(executors, &result.stats);
+  // With a sink the answers are the emitted prefix (already ascending);
+  // without one, the sorted union of the slots' answers.
+  if (sink != nullptr) {
+    result.answers = std::move(emitted);
+  } else {
+    std::sort(result.answers.begin(), result.answers.end());
+  }
+  result.stats.num_answers = result.answers.size();
   result.stats.timed_out = timed_out.load();
 
   uint64_t ws_hits_after = 0, ws_misses_after = 0;

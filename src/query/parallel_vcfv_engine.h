@@ -1,6 +1,7 @@
 // Parallel vcFV: Algorithm 2 with the data graphs partitioned across worker
-// threads. Each data graph is filtered and verified independently, so the
-// loop parallelizes embarrassingly — the index-free counterpart of Grapes'
+// threads. Each data graph is filtered and verified independently by the
+// per-graph step the serial engines use (VerifyGraph, in
+// query/filter_verify_engine.h), so the loop parallelizes embarrassingly — the index-free counterpart of Grapes'
 // parallel index construction (the paper's related work, [19]/[31], notes
 // single-machine parallel subgraph matching as the natural extension).
 //
@@ -49,8 +50,7 @@ class ParallelVcfvEngine : public QueryEngine {
 
   bool Prepare(const GraphDatabase& db, Deadline deadline) override;
 
-  QueryResult Query(const Graph& query, Deadline deadline) const override;
-
+  using QueryEngine::Query;
   // The one scan loop: executors claim contiguous graph chunks through
   // ThreadPool::ParallelFor. With no sink each chunk's answers land in the
   // slot's accumulator and are sorted at the end. With a sink a chunk-order

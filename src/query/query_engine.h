@@ -29,31 +29,30 @@ class QueryEngine {
 
   // Answers one subgraph query (Definition II.2). `deadline` is the
   // per-query time limit; on expiry the result is marked timed_out and the
-  // answer set is whatever was confirmed so far.
-  virtual QueryResult Query(const Graph& query,
-                            Deadline deadline = Deadline::Infinite()) const
-      = 0;
-
-  // Streaming variant: every confirmed answer id is pushed into `sink` (in
-  // ascending id order) the moment verification confirms it, and a sink
-  // returning false stops the scan — result.answers then holds exactly the
-  // emitted prefix, so a streamed response is always a bit-identical prefix
-  // of the batch response. The base implementation replays the batch
-  // answers (correct for any engine, streams nothing early); the concrete
-  // engines override it with true incremental emission. `sink == nullptr`
-  // degrades to the batch Query().
+  // answer set is whatever was confirmed so far. Every confirmed answer id
+  // is also pushed into `sink` (when non-null, in ascending id order) the
+  // moment verification confirms it, and a sink returning false stops the
+  // scan — result.answers then holds exactly the emitted prefix, so a
+  // streamed response is always a bit-identical prefix of the batch one.
   virtual QueryResult Query(const Graph& query, Deadline deadline,
-                            ResultSink* sink) const;
+                            ResultSink* sink) const = 0;
+
+  // Batch form: no sink. Subclasses re-export it with
+  // `using QueryEngine::Query;`.
+  QueryResult Query(const Graph& query,
+                    Deadline deadline = Deadline::Infinite()) const {
+    return Query(query, deadline, /*sink=*/nullptr);
+  }
 
   // Incrementally re-prepares the engine after database mutations: `db` is
   // the post-mutation database and `deltas` the ordered chain of changes
   // that produced it from the database this engine was last prepared (or
   // updated) against. The base implementation falls back to a full
-  // Prepare(db, deadline) — O(1) for the index-free vcFV engines, which
-  // only re-point at the database — while the IFV/IvcFV engines override
-  // it with true incremental index maintenance (AppendGraph /
-  // OnOrderedRemove per delta). Returns false on deadline expiry, after
-  // which the engine must be fully re-prepared before use.
+  // Prepare(db, deadline) — O(1) for an index-free engine, which only
+  // re-points at the database — while FilterVerifyEngine overrides it with
+  // true incremental index maintenance (AppendGraph / OnOrderedRemove per
+  // delta). Returns false on deadline expiry, after which the engine must
+  // be fully re-prepared before use.
   virtual bool ApplyUpdate(const GraphDatabase& db,
                            std::span<const DbDelta> deltas,
                            Deadline deadline) {

@@ -39,10 +39,23 @@ bool ParseLength(std::string_view token, size_t* length) {
   size_t value = 0;
   for (const char c : token) {
     if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-    if (value > (SIZE_MAX - 9) / 10) return false;  // overflow
-    value = value * 10 + static_cast<size_t>(c - '0');
+    const size_t digit = static_cast<size_t>(c - '0');
+    if (value > (SIZE_MAX - digit) / 10) return false;  // overflow
+    value = value * 10 + digit;
   }
   *length = value;
+  return true;
+}
+
+// ParseLength, further bounded to the GraphId range: an id that does not
+// fit is an error, never a silent wrap onto a small id.
+bool ParseGraphId(std::string_view token, GraphId* id) {
+  size_t value = 0;
+  if (!ParseLength(token, &value) ||
+      value > std::numeric_limits<GraphId>::max()) {
+    return false;
+  }
+  *id = static_cast<GraphId>(value);
   return true;
 }
 
@@ -153,12 +166,10 @@ RequestParser::Status RequestParser::ParseCommandLine(std::string_view line,
     }
     pending_.verb = Request::Verb::kAddGraph;
     if (tokens.size() == 5 && tokens[3] == "ID") {
-      size_t gid = 0;
-      if (!ParseLength(tokens[4], &gid)) {
+      if (!ParseGraphId(tokens[4], &pending_.graph_id)) {
         *error = "bad graph id: " + std::string(tokens[4]);
         return Status::kError;
       }
-      pending_.graph_id = static_cast<GraphId>(gid);
       pending_.has_graph_id = true;
     } else if (tokens.size() != 3) {
       *error = kUsage;
@@ -190,14 +201,12 @@ RequestParser::Status RequestParser::ParseCommandLine(std::string_view line,
 
   if (verb == "REMOVE") {
     // REMOVE GRAPH <gid>
-    size_t gid = 0;
     if (tokens.size() != 3 || tokens[1] != "GRAPH" ||
-        !ParseLength(tokens[2], &gid)) {
+        !ParseGraphId(tokens[2], &pending_.graph_id)) {
       *error = "usage: REMOVE GRAPH <gid>";
       return Status::kError;
     }
     pending_.verb = Request::Verb::kRemoveGraph;
-    pending_.graph_id = static_cast<GraphId>(gid);
     pending_.has_graph_id = true;
     return Status::kReady;
   }
@@ -367,11 +376,9 @@ bool ParseIdsLine(std::string_view line, uint64_t expected,
   const std::vector<std::string_view> tokens = SplitTokens(line);
   if (tokens.empty() || tokens[0] != "IDS") return false;
   if (tokens.size() - 1 != expected) return false;
-  ids->reserve(expected);
+  ids->resize(expected);
   for (size_t i = 1; i < tokens.size(); ++i) {
-    size_t id = 0;
-    if (!ParseLength(tokens[i], &id)) return false;
-    ids->push_back(static_cast<GraphId>(id));
+    if (!ParseGraphId(tokens[i], &(*ids)[i - 1])) return false;
   }
   return true;
 }
@@ -382,9 +389,9 @@ bool ParseIdsChunk(std::string_view line, std::vector<GraphId>* ids) {
   if (tokens.empty() || tokens[0] != "IDS") return false;
   ids->reserve(ids->size() + tokens.size() - 1);
   for (size_t i = 1; i < tokens.size(); ++i) {
-    size_t id = 0;
-    if (!ParseLength(tokens[i], &id)) return false;
-    ids->push_back(static_cast<GraphId>(id));
+    GraphId id = 0;
+    if (!ParseGraphId(tokens[i], &id)) return false;
+    ids->push_back(id);
   }
   return true;
 }
@@ -483,7 +490,8 @@ bool ParseQueryStatsJson(std::string_view json, QueryStats* stats) {
 bool ParseShardHealth(std::string_view json, ShardHealth* health) {
   uint64_t ok = 0, total = 0;
   if (!JsonUint(json, "shards_ok", &ok) ||
-      !JsonUint(json, "shards_total", &total)) {
+      !JsonUint(json, "shards_total", &total) ||
+      total > std::numeric_limits<uint32_t>::max() || ok > total) {
     return false;
   }
   health->ok = static_cast<uint32_t>(ok);
@@ -506,14 +514,8 @@ bool ParseMutationResponse(std::string_view line, std::string_view action,
                            GraphId* global_id) {
   while (!line.empty() && line.back() == '\r') line.remove_suffix(1);
   const std::vector<std::string_view> tokens = SplitTokens(line);
-  size_t gid = 0;
-  if (tokens.size() != 3 || tokens[0] != "OK" || tokens[1] != action ||
-      !ParseLength(tokens[2], &gid) ||
-      gid > std::numeric_limits<GraphId>::max()) {
-    return false;
-  }
-  *global_id = static_cast<GraphId>(gid);
-  return true;
+  return tokens.size() == 3 && tokens[0] == "OK" && tokens[1] == action &&
+         ParseGraphId(tokens[2], global_id);
 }
 
 }  // namespace

@@ -206,7 +206,8 @@ struct ResponseHead {
 };
 ResponseHead ParseResponseHead(std::string_view line);
 
-// Parses an "IDS ..." line; fails unless exactly `expected` ids are present.
+// Parses an "IDS ..." line; fails unless exactly `expected` ids are present,
+// each fitting a GraphId.
 bool ParseIdsLine(std::string_view line, uint64_t expected,
                   std::vector<GraphId>* ids);
 
@@ -240,7 +241,8 @@ bool ParseNextGlobalId(std::string_view stats_json, GraphId* next);
 bool ParseQueryStatsJson(std::string_view json, QueryStats* stats);
 
 // Extracts "shards_ok"/"shards_total" from a (router) stats json. False
-// when the fields are absent — i.e. the response came from a plain server.
+// when the fields are absent — i.e. the response came from a plain server —
+// or malformed: a total beyond uint32, or more shards ok than in total.
 bool ParseShardHealth(std::string_view json, ShardHealth* health);
 
 }  // namespace sgq

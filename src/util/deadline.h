@@ -4,6 +4,7 @@
 #ifndef SGQ_UTIL_DEADLINE_H_
 #define SGQ_UTIL_DEADLINE_H_
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 
@@ -15,10 +16,15 @@ class Deadline {
   Deadline() : expiry_(Clock::time_point::max()) {}
 
   static Deadline Infinite() { return Deadline(); }
+  // Limits of a century or more (and +inf) mean no limit: the nanosecond
+  // clock cannot represent them, and converting one would overflow.
   static Deadline AfterSeconds(double seconds) {
+    constexpr double kCenturySeconds = 100 * 365.25 * 86400;
+    if (!(seconds < kCenturySeconds)) return Infinite();
     Deadline d;
     d.expiry_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double>(seconds));
+                                   std::chrono::duration<double>(
+                                       std::max(seconds, -kCenturySeconds)));
     return d;
   }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 
 #if defined(__x86_64__) && !defined(SGQ_NO_SIMD)
 #define SGQ_INTERSECT_HAVE_AVX2 1
@@ -21,18 +20,9 @@ bool CpuHasAvx2() { return __builtin_cpu_supports("avx2"); }
 bool CpuHasAvx2() { return false; }
 #endif
 
-// Effective default: compiled in, CPU-supported, and not vetoed by the
-// SGQ_NO_SIMD environment variable (the runtime escape hatch mirroring the
-// configure-time option).
-bool SimdDefault() {
-  if (!CpuHasAvx2()) return false;
-  const char* env = std::getenv("SGQ_NO_SIMD");
-  if (env != nullptr && env[0] != '\0' && env[0] != '0') return false;
-  return true;
-}
-
+// On by default whenever compiled in and supported by the CPU.
 std::atomic<bool>& SimdFlag() {
-  static std::atomic<bool> flag{SimdDefault()};
+  static std::atomic<bool> flag{CpuHasAvx2()};
   return flag;
 }
 

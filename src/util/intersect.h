@@ -14,10 +14,10 @@
 //                            best for skewed size ratios.
 //   * vectorized merge     — an AVX2 block-compare path used by the
 //                            dispatcher for comparable sizes when the CPU
-//                            supports it (runtime detection; SGQ_NO_SIMD at
-//                            configure time, or SetIntersectSimdEnabled() /
-//                            the SGQ_NO_SIMD environment variable at run
-//                            time, force the scalar fallback).
+//                            supports it (runtime detection; the
+//                            -DSGQ_NO_SIMD=ON configure option, or
+//                            SetIntersectSimdEnabled() at run time, force
+//                            the scalar fallback).
 //   * IntersectInto        — adaptive: picks galloping when
 //                            |large| / |small| >= kIntersectGallopRatio,
 //                            else the (vectorized when possible) merge.
@@ -70,7 +70,7 @@ struct IntersectCounters {
 };
 
 // True when the vectorized path is compiled in, the CPU supports it, and it
-// has not been disabled (SGQ_NO_SIMD env var or SetIntersectSimdEnabled).
+// has not been disabled by SetIntersectSimdEnabled().
 bool IntersectSimdEnabled();
 
 // Runtime override, primarily for tests and benchmarks that compare the

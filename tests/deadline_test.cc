@@ -26,22 +26,13 @@ GraphDatabase SmallDb() {
   return GenerateSyntheticDatabase(params);
 }
 
-// Every engine the factory can build, paper algorithms and extensions.
-std::vector<std::string> EveryEngineName() {
-  std::vector<std::string> names = AllEngineNames();
-  names.insert(names.end(), {"TurboIso", "QuickSI", "SPath",
-                             "GraphGrep", "MinedPath", "CFQL-parallel",
-                             "VF2-scan"});
-  return names;
-}
-
 TEST(DeadlineTest, ExpiredDeadlineReturnsTimeoutWithoutScanning) {
   const GraphDatabase db = SmallDb();
   // A query that is a subgraph of at least one data graph (itself), so a
   // non-empty answer set would prove the engine scanned despite the
   // expired deadline.
   const Graph query = db.graph(0);
-  for (const std::string& name : EveryEngineName()) {
+  for (const std::string& name : KnownEngineNames()) {
     SCOPED_TRACE(name);
     auto engine = MakeEngine(name);
     ASSERT_TRUE(engine->Prepare(db, Deadline::Infinite()));

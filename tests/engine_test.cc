@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
+#include <utility>
 
 #include "gen/graph_gen.h"
 #include "gen/query_gen.h"
@@ -97,10 +99,7 @@ TEST(EngineAgreementTest, AllEnginesAgreeOnRandomizedDatabases) {
     const GraphDatabase db = GenerateSyntheticDatabase(params);
 
     std::vector<std::unique_ptr<QueryEngine>> engines;
-    std::vector<std::string> names = AllEngineNames();
-    names.insert(names.end(),
-                 {"TurboIso", "QuickSI", "SPath", "GraphGrep", "MinedPath"});
-    for (const std::string& name : names) {
+    for (const std::string& name : KnownEngineNames()) {
       engines.push_back(MakeEngine(name));
       ASSERT_TRUE(engines.back()->Prepare(db, Deadline::Infinite()));
     }
@@ -124,6 +123,76 @@ TEST(EngineAgreementTest, AllEnginesAgreeOnRandomizedDatabases) {
         // candidate counts are bounded by |D| and bounded below by |A|.
         EXPECT_GE(r.stats.num_candidates, r.answers.size());
       }
+    }
+  }
+}
+
+// Pins what |C(q)| and the workspace counters mean for each family, which
+// Equation 1's precision and the EXPERIMENTS.md figures read: IFV's
+// candidates are the index survivors, vcFV's and IvcFV's the graphs whose
+// Φ passed the matcher's filter, VF2-scan's the whole database.
+TEST(EngineFamilyStatsTest, CandidateCountsFollowEachFamily) {
+  SyntheticParams params;
+  params.num_graphs = 30;
+  params.vertices_per_graph = 20;
+  params.degree = 3.0;
+  params.num_labels = 5;
+  params.seed = 404;
+  const GraphDatabase db = GenerateSyntheticDatabase(params);
+  std::vector<Graph> queries;
+  Rng rng(405);
+  for (int attempt = 0; attempt < 200 && queries.size() < 8; ++attempt) {
+    Graph q;
+    const QueryKind kind =
+        queries.size() % 2 == 0 ? QueryKind::kSparse : QueryKind::kDense;
+    if (GenerateQuery(db, kind, 4 + 2 * (queries.size() % 3), &rng, &q)) {
+      queries.push_back(std::move(q));
+    }
+  }
+  ASSERT_EQ(queries.size(), 8u);
+
+  const std::set<std::string> ifv = {"CT-Index", "Grapes", "GGSX",
+                                     "GraphGrep", "MinedPath"};
+  // results[name][i]: engine `name` on queries[i].
+  std::map<std::string, std::vector<QueryResult>> results;
+  for (const std::string& name : KnownEngineNames()) {
+    auto engine = MakeEngine(name);
+    ASSERT_TRUE(engine->Prepare(db, Deadline::Infinite())) << name;
+    for (const Graph& q : queries) {
+      results[name].push_back(engine->Query(q));
+      ASSERT_FALSE(results[name].back().stats.timed_out) << name;
+    }
+  }
+  auto filter_calls = [](const QueryResult& r) {
+    return r.stats.ws_filter_hits + r.stats.ws_filter_misses;
+  };
+  for (size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "query " << i);
+    const QueryResult& scan = results["VF2-scan"][i];
+    EXPECT_EQ(scan.stats.num_candidates, db.size());
+    for (const std::string& name : KnownEngineNames()) {
+      const QueryResult& r = results[name][i];
+      EXPECT_EQ(r.answers, scan.answers) << name;
+      EXPECT_EQ(r.stats.si_tests, r.stats.num_candidates) << name;
+      if (ifv.count(name) > 0 || name == "VF2-scan") {
+        EXPECT_EQ(r.stats.aux_memory_bytes, 0u) << name;
+        EXPECT_EQ(filter_calls(r), 0u) << name;
+      }
+    }
+    EXPECT_EQ(filter_calls(results["CFQL"][i]), db.size());
+    for (const auto& [ifv_name, ivcfv_name] :
+         {std::pair<std::string, std::string>{"Grapes", "vcGrapes"},
+          std::pair<std::string, std::string>{"GGSX", "vcGGSX"}}) {
+      const QueryResult& index_only = results[ifv_name][i];
+      const QueryResult& two_level = results[ivcfv_name][i];
+      EXPECT_EQ(filter_calls(two_level), index_only.stats.num_candidates)
+          << ivcfv_name;
+      EXPECT_LE(two_level.stats.num_candidates,
+                index_only.stats.num_candidates)
+          << ivcfv_name;
+      EXPECT_LE(two_level.stats.num_candidates,
+                results["CFQL"][i].stats.num_candidates)
+          << ivcfv_name;
     }
   }
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "tests/test_util.h"
 
 namespace sgq {
@@ -31,6 +34,16 @@ TEST(EngineFactoryTest, EveryAdvertisedEngineConstructs) {
     ASSERT_NE(engine, nullptr) << name;
     EXPECT_STREQ(engine->name(), name);
   }
+}
+
+TEST(EngineFactoryTest, KnownEngineNamesListEachEngineOnceTableThreeFirst) {
+  const std::vector<std::string>& known = KnownEngineNames();
+  const std::vector<std::string>& paper = AllEngineNames();
+  ASSERT_EQ(known.size(), 15u);
+  EXPECT_TRUE(std::equal(paper.begin(), paper.end(), known.begin()));
+  std::set<std::string> unique(known.begin(), known.end());
+  EXPECT_EQ(unique.size(), known.size());
+  for (const std::string& name : known) EXPECT_TRUE(IsKnownEngine(name));
 }
 
 TEST(EngineFactoryTest, RetiredEngineNamesAreUnknown) {

@@ -15,7 +15,7 @@
 #include "index/grapes_index.h"
 #include "matching/brute_force.h"
 #include "query/engine_factory.h"
-#include "query/ifv_engine.h"
+#include "query/filter_verify_engine.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -126,7 +126,8 @@ INSTANTIATE_TEST_SUITE_P(AllIndexes, IndexUpdateTest,
 
 TEST(EngineUpdateConsistencyTest, IfvEngineTracksDatabaseWithoutRebuild) {
   GraphDatabase db = MakeDb(7, 20);
-  IfvEngine grapes("Grapes", std::make_unique<GrapesIndex>());
+  FilterVerifyEngine grapes("Grapes", std::make_unique<GrapesIndex>(),
+                            /*matcher=*/nullptr);
   ASSERT_TRUE(grapes.Prepare(db, Deadline::Infinite()));
   auto cfql = MakeEngine("CFQL");
   ASSERT_TRUE(cfql->Prepare(db, Deadline::Infinite()));

@@ -18,7 +18,22 @@ trap 'rm -rf "$DIR"' EXIT
 "$CLI" standin --profile PCM --count-scale 0.05 --size-scale 0.1 \
   --out "$DIR/pcm.txt" --seed 2
 "$CLI" crosscheck --db "$DIR/db.txt" --queries "$DIR/q.txt" \
-  --time-limit 30 --build-limit 120 | grep -q "agree on 8 queries"
+  --time-limit 30 --build-limit 120 > "$DIR/crosscheck.txt"
+grep -q "agree on 8 queries" "$DIR/crosscheck.txt"
+# Coverage: every engine the factory knows (listed by the unknown-engine
+# error) must print an "agrees" row, so no engine drops out of crosscheck.
+KNOWN=$("$CLI" query --db "$DIR/db.txt" --queries "$DIR/q.txt" \
+  --engine NoSuchEngine 2>&1 | sed -n 's/^unknown engine: NoSuchEngine (known: \(.*\))$/\1/p' || true)
+if [ -z "$KNOWN" ]; then
+  echo "no engine list in the unknown-engine error" >&2
+  exit 1
+fi
+for name in $KNOWN; do
+  if ! grep -Eq "^$name +[0-9.]+ +[0-9.]+ +0 agrees$" "$DIR/crosscheck.txt"; then
+    echo "crosscheck has no agrees row for $name" >&2
+    exit 1
+  fi
+done
 # Error paths must fail cleanly.
 if "$CLI" query --db /nonexistent --queries "$DIR/q.txt" 2>/dev/null; then
   echo "expected failure for missing db" >&2

@@ -303,7 +303,10 @@ int CmdQuery(const Flags& flags) {
                 flags.GetDouble("candidate-index-min",
                                 config.candidate_index_min_vertices));
   if (!IsKnownEngine(engine_name)) {
-    std::fprintf(stderr, "unknown engine: %s\n", engine_name.c_str());
+    std::string known;
+    for (const std::string& name : KnownEngineNames()) known += " " + name;
+    std::fprintf(stderr, "unknown engine: %s (known:%s)\n",
+                 engine_name.c_str(), known.c_str());
     return 2;
   }
   AttachCandidateIndexes(&db, config.candidate_index_min_vertices);
@@ -493,9 +496,6 @@ int CmdCrosscheck(const Flags& flags) {
   const double time_limit =
       flags.GetDouble("time-limit", kDefaultQueryTimeoutSeconds);
 
-  std::vector<std::string> names = AllEngineNames();
-  names.insert(names.end(), {"TurboIso", "GraphGrep", "MinedPath",
-                             "CFQL-parallel", "VF2-scan"});
   struct Row {
     std::string name;
     double prep_ms = 0;
@@ -505,7 +505,7 @@ int CmdCrosscheck(const Flags& flags) {
     std::vector<std::vector<GraphId>> answers;
   };
   std::vector<Row> rows;
-  for (const std::string& name : names) {
+  for (const std::string& name : KnownEngineNames()) {
     Row row;
     row.name = name;
     auto engine = MakeEngine(name);
