@@ -99,36 +99,21 @@ size_t VertexCandidateIndex::SlotOf(Label l) const {
   return static_cast<size_t>(it - label_values_.begin());
 }
 
-size_t VertexCandidateIndex::CollectCandidates(
-    Label l, uint32_t min_degree, uint64_t sig,
-    std::vector<VertexId>* out) const {
+std::pair<uint32_t, uint32_t> VertexCandidateIndex::DegreeSlice(
+    Label l, uint32_t min_degree) const {
   const size_t slot = SlotOf(l);
-  if (slot == SIZE_MAX) return 0;
-  const uint32_t begin = bucket_offsets_[slot];
-  const uint32_t end = bucket_offsets_[slot + 1];
-  const uint32_t lo = static_cast<uint32_t>(
-      std::lower_bound(degrees_.begin() + begin, degrees_.begin() + end,
-                       min_degree) -
-      degrees_.begin());
-  const size_t first_out = out->size();
-  for (uint32_t i = lo; i < end; ++i) {
-    if ((signatures_[i] & sig) == sig) out->push_back(ids_[i]);
-  }
-  // The bucket is degree-ordered, not id-ordered; restore the ascending-id
-  // order every candidate-set consumer relies on.
-  std::sort(out->begin() + static_cast<ptrdiff_t>(first_out), out->end());
-  return end - lo;
+  if (slot == SIZE_MAX) return {0, 0};
+  const auto begin = degrees_.begin() + bucket_offsets_[slot];
+  const auto end = degrees_.begin() + bucket_offsets_[slot + 1];
+  return {static_cast<uint32_t>(std::lower_bound(begin, end, min_degree) -
+                                degrees_.begin()),
+          static_cast<uint32_t>(end - degrees_.begin())};
 }
 
 uint32_t VertexCandidateIndex::CountWithLabelDegree(
     Label l, uint32_t min_degree) const {
-  const size_t slot = SlotOf(l);
-  if (slot == SIZE_MAX) return 0;
-  const uint32_t begin = bucket_offsets_[slot];
-  const uint32_t end = bucket_offsets_[slot + 1];
-  const auto lo = std::lower_bound(degrees_.begin() + begin,
-                                   degrees_.begin() + end, min_degree);
-  return static_cast<uint32_t>(degrees_.begin() + end - lo);
+  const auto [lo, end] = DegreeSlice(l, min_degree);
+  return end - lo;
 }
 
 uint32_t VertexCandidateIndex::BucketSize(Label l) const {

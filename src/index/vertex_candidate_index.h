@@ -26,9 +26,12 @@
 #ifndef SGQ_INDEX_VERTEX_CANDIDATE_INDEX_H_
 #define SGQ_INDEX_VERTEX_CANDIDATE_INDEX_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -48,13 +51,34 @@ class VertexCandidateIndex {
   static uint64_t LabelBit(Label l);
   static uint64_t SignatureOf(std::span<const Label> labels);
 
-  // Appends to *out every vertex with label `l`, degree >= `min_degree`,
-  // and a signature superset of `sig`, in ascending id order. Returns the
-  // number of index entries actually examined after the degree slice (the
-  // bucket suffix length) — the cost the full scan would have paid is the
-  // whole bucket, so callers can report the reduction.
+  // Appends to *out every vertex with label `l`, degree >= `min_degree`, a
+  // signature superset of `sig`, and keep(v) true, in ascending id order.
+  // The degree slice is walked in index order and only the survivors are
+  // sorted, so a selective `keep` (the exact NLF test, CFL's backward-
+  // pruning count) spares the sort everything it rejects. Returns the
+  // number of index entries examined after the degree slice (the bucket
+  // suffix length) — the cost the full scan would have paid is the whole
+  // bucket, so callers can report the reduction.
+  template <typename Keep>
   size_t CollectCandidates(Label l, uint32_t min_degree, uint64_t sig,
-                           std::vector<VertexId>* out) const;
+                           Keep&& keep, std::vector<VertexId>* out) const {
+    const auto [lo, end] = DegreeSlice(l, min_degree);
+    const size_t first_out = out->size();
+    for (uint32_t i = lo; i < end; ++i) {
+      if ((signatures_[i] & sig) == sig && keep(ids_[i])) {
+        out->push_back(ids_[i]);
+      }
+    }
+    // The bucket is degree-ordered, not id-ordered; restore the ascending-
+    // id order every candidate-set consumer relies on.
+    std::sort(out->begin() + static_cast<ptrdiff_t>(first_out), out->end());
+    return end - lo;
+  }
+  size_t CollectCandidates(Label l, uint32_t min_degree, uint64_t sig,
+                           std::vector<VertexId>* out) const {
+    return CollectCandidates(
+        l, min_degree, sig, [](VertexId) { return true; }, out);
+  }
 
   // Exact count of vertices with label `l` and degree >= `min_degree`,
   // O(log bucket). This is the LDF candidate count CFL's root selection
@@ -74,6 +98,10 @@ class VertexCandidateIndex {
 
   // Bucket slot for label `l`, or SIZE_MAX when absent.
   size_t SlotOf(Label l) const;
+  // Entry range [first, last) of label `l` with degree >= `min_degree`
+  // (empty when the label is absent).
+  std::pair<uint32_t, uint32_t> DegreeSlice(Label l,
+                                            uint32_t min_degree) const;
 
   // Distinct labels sorted ascending; bucket i spans
   // [bucket_offsets_[i], bucket_offsets_[i+1]) of the parallel arrays.

@@ -32,9 +32,9 @@ uint64_t CandidateSets::TotalCandidates() const {
   return total;
 }
 
-size_t CandidateSets::MemoryBytes() const {
-  size_t bytes = sets_.capacity() * sizeof(std::vector<VertexId>);
-  for (const auto& s : sets_) bytes += s.capacity() * sizeof(VertexId);
+size_t CandidateSets::MemoryBytes(bool retained) const {
+  size_t bytes = VectorBytes(sets_, retained);
+  for (const auto& s : sets_) bytes += VectorBytes(s, retained);
   return bytes;
 }
 
@@ -62,22 +62,19 @@ void LdfNlfCandidatesInto(const Graph& query, const Graph& data, VertexId u,
     // Fast path for indexed (massive) data graphs: the degree slice is a
     // binary search and the signature AND kills most NLF failures before the
     // multiset walk. Both filters are conservative and the exact NLF
-    // predicate is re-checked below, so the result is bit-identical to the
-    // full-scan path.
+    // predicate is checked on each survivor, so the result is bit-identical
+    // to the full-scan path.
     const uint64_t sig =
         use_nlf ? VertexCandidateIndex::SignatureOf(query.NeighborLabels(u))
                 : 0;
-    index->CollectCandidates(query.label(u), query.degree(u), sig, out);
-    if (use_nlf) {
-      out->erase(std::remove_if(out->begin(), out->end(),
-                                [&](VertexId v) {
-                                  return !SortedMultisetContains(
-                                      data.NeighborLabels(v),
-                                      query.NeighborLabels(u));
-                                }),
-                 out->end());
-    }
-    return;  // CollectCandidates appends in ascending id order.
+    index->CollectCandidates(
+        query.label(u), query.degree(u), sig,
+        [&](VertexId v) {
+          return !use_nlf || SortedMultisetContains(data.NeighborLabels(v),
+                                                    query.NeighborLabels(u));
+        },
+        out);
+    return;
   }
   // Everything VerticesWithLabel yields already carries the label, so the
   // scan checks only degree + neighbor profile.

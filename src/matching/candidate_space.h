@@ -11,6 +11,15 @@
 
 namespace sgq {
 
+// Bytes a vector contributes to a footprint: its elements, or with
+// `retained` its heap capacity. Structures recycled through a
+// MatchWorkspace keep capacity from earlier calls, so only the element
+// count describes what one call built.
+template <typename T>
+size_t VectorBytes(const std::vector<T>& v, bool retained) {
+  return (retained ? v.capacity() : v.size()) * sizeof(T);
+}
+
 // Φ: one sorted candidate vertex list per query vertex. A complete Φ
 // (Definition III.1) contains, for every query vertex u, every data vertex v
 // that appears as (u, v) in some subgraph isomorphism; emptiness of any
@@ -44,7 +53,9 @@ class CandidateSets {
   // auxiliary structures; see MemoryBytes).
   uint64_t TotalCandidates() const;
 
-  size_t MemoryBytes() const;
+  // Bytes of the candidate lists as built; `retained` counts the heap
+  // capacity held instead (see VectorBytes).
+  size_t MemoryBytes(bool retained = false) const;
 
  private:
   std::vector<std::vector<VertexId>> sets_;

@@ -5,23 +5,21 @@
 
 #include "index/vertex_candidate_index.h"
 #include "matching/workspace.h"
-#include "util/intersect.h"
 #include "util/logging.h"
 
 namespace sgq {
 
-size_t CpiData::MemoryBytes() const {
-  size_t bytes = phi.MemoryBytes();
-  bytes += tree.parent.capacity() * sizeof(VertexId) +
-           tree.level.capacity() * sizeof(uint32_t) +
-           tree.order.capacity() * sizeof(VertexId);
+size_t CpiData::Footprint(bool retained) const {
+  size_t bytes = phi.MemoryBytes(retained);
+  bytes += VectorBytes(tree.parent, retained) +
+           VectorBytes(tree.level, retained) +
+           VectorBytes(tree.order, retained);
+  bytes += VectorBytes(children, retained);
   for (const auto& per_parent : children) {
-    bytes += per_parent.capacity() * sizeof(std::vector<uint32_t>);
-    for (const auto& list : per_parent) {
-      bytes += list.capacity() * sizeof(uint32_t);
-    }
+    bytes += VectorBytes(per_parent, retained);
+    for (const auto& list : per_parent) bytes += VectorBytes(list, retained);
   }
-  bytes += matching_order.capacity() * sizeof(VertexId);
+  bytes += VectorBytes(matching_order, retained);
   return bytes;
 }
 
@@ -231,24 +229,20 @@ EnumerateResult CflEnumerate(const Graph& query, const Graph& data,
 
 }  // namespace
 
-void CflMatcher::FilterInto(const Graph& query, const Graph& data,
-                            MatchWorkspace* ws, CpiData* out) const {
+bool CflCandidatesInto(const Graph& query, const Graph& data,
+                       const CflOptions& options, MatchWorkspace& w,
+                       BfsTree* tree_out, CandidateSets* phi) {
   SGQ_CHECK_GT(query.NumVertices(), 0u);
   const uint32_t n = query.NumVertices();
-  out->phi.ResetForReuse(n);
-  if (data.NumVertices() == 0) return;
-
-  // Scratch comes from the workspace when one is given; the call-local
-  // fallback keeps the allocating Filter() path identical in behavior.
-  MatchWorkspace local;
-  MatchWorkspace& w = ws != nullptr ? *ws : local;
+  phi->ResetForReuse(n);
+  if (data.NumVertices() == 0) return false;
 
   const VertexId root = SelectRoot(query, data);
-  out->tree = BuildBfsTree(query, root);
-  const BfsTree& tree = out->tree;
+  *tree_out = BuildBfsTree(query, root);
+  const BfsTree& tree = *tree_out;
 
   // Position of each query vertex in BFS visit order; backward neighbors of
-  // u are its query-graph neighbors visited before u.
+  // u are its query-graph neighbors visited before u, forward ones after.
   std::vector<uint32_t>& order_pos = w.order_pos;
   order_pos.resize(n);
   for (uint32_t i = 0; i < n; ++i) order_pos[tree.order[i]] = i;
@@ -263,10 +257,10 @@ void CflMatcher::FilterInto(const Graph& query, const Graph& data,
   std::vector<VertexId> backward;
   for (uint32_t i = 0; i < n; ++i) {
     const VertexId u = tree.order[i];
-    auto& set = out->phi.mutable_set(u);
+    auto& set = phi->mutable_set(u);
     if (u == root) {
-      LdfNlfCandidatesInto(query, data, u, options_.use_nlf, &set);
-      if (set.empty()) return;
+      LdfNlfCandidatesInto(query, data, u, options.use_nlf, &set);
+      if (set.empty()) return false;
       continue;
     }
     backward.clear();
@@ -277,7 +271,7 @@ void CflMatcher::FilterInto(const Graph& query, const Graph& data,
     std::fill(cnt.begin(), cnt.end(), 0);
     uint32_t k = 0;
     for (VertexId uprime : backward) {
-      for (VertexId vprime : out->phi.set(uprime)) {
+      for (VertexId vprime : phi->set(uprime)) {
         for (VertexId v : data.Neighbors(vprime)) {
           if (cnt[v] == k) ++cnt[v];
         }
@@ -286,64 +280,70 @@ void CflMatcher::FilterInto(const Graph& query, const Graph& data,
     }
     if (const auto* index = data.candidate_index()) {
       // Indexed path: the degree slice + signature filter shrink the label
-      // bucket before the cnt/NLF checks; candidates come back in ascending
-      // id order, matching the full-scan path bit for bit (the exact NLF
-      // predicate is re-checked below).
-      std::vector<VertexId>& pre = w.scratch_candidates;
-      pre.clear();
+      // bucket before the cnt/NLF checks, and only the survivors are sorted
+      // back into ascending id order, matching the full-scan path bit for
+      // bit (the exact NLF predicate is checked on each survivor).
       const uint64_t sig =
-          options_.use_nlf
+          options.use_nlf
               ? VertexCandidateIndex::SignatureOf(query.NeighborLabels(u))
               : 0;
-      index->CollectCandidates(query.label(u), query.degree(u), sig, &pre);
-      for (VertexId v : pre) {
-        if (cnt[v] == k &&
-            (!options_.use_nlf ||
-             SortedMultisetContains(data.NeighborLabels(v),
-                                    query.NeighborLabels(u)))) {
-          set.push_back(v);
-        }
-      }
+      index->CollectCandidates(
+          query.label(u), query.degree(u), sig,
+          [&](VertexId v) {
+            return cnt[v] == k &&
+                   (!options.use_nlf ||
+                    SortedMultisetContains(data.NeighborLabels(v),
+                                           query.NeighborLabels(u)));
+          },
+          &set);
     } else {
       for (VertexId v : data.VerticesWithLabel(query.label(u))) {
         if (cnt[v] == k &&
-            PassesDegreeNlf(query, data, u, v, options_.use_nlf)) {
+            PassesDegreeNlf(query, data, u, v, options.use_nlf)) {
           set.push_back(v);
         }
       }
     }
-    if (set.empty()) return;
+    if (set.empty()) return false;
   }
 
   // --- Bottom-up refinement ---------------------------------------------
-  if (options_.refine_bottom_up) {
-    // Keep v in Φ(u) only if every forward neighbor u' has a candidate
-    // adjacent to v, i.e. N(v) ∩ Φ(u') ≠ ∅ — the adaptive early-exit
-    // intersection kernel, against the already-pruned Φ(u') (forward
-    // vertices are processed earlier in this reverse sweep, so in-place
-    // erasure keeps the membership view exact without the O(n·|V(G)|)
-    // byte rows this sweep used to build).
-    std::vector<VertexId> forward;
+  // Keep v in Φ(u) only if every forward neighbor u' has a candidate
+  // adjacent to v. Forward vertices come earlier in this reverse sweep, so
+  // Φ(u') is already refined. Φ(u') is stamped once into the workspace's
+  // used_stamp under a fresh epoch, and v survives iff some w ∈ N(v)
+  // carries the stamp: a scan that stops at the first hit.
+  if (options.refine_bottom_up) {
+    std::vector<uint32_t>& stamp = w.used_stamp;
     for (uint32_t i = n; i-- > 0;) {
       const VertexId u = tree.order[i];
-      forward.clear();
-      for (VertexId v : query.Neighbors(u)) {
-        if (order_pos[v] > i) forward.push_back(v);
+      auto& set = phi->mutable_set(u);
+      for (VertexId uprime : query.Neighbors(u)) {
+        if (order_pos[uprime] < i) continue;
+        const uint32_t epoch = w.BeginUsedEpoch(data.NumVertices());
+        for (VertexId v : phi->set(uprime)) stamp[v] = epoch;
+        set.erase(std::remove_if(set.begin(), set.end(),
+                                 [&](VertexId v) {
+                                   for (VertexId x : data.Neighbors(v)) {
+                                     if (stamp[x] == epoch) return false;
+                                   }
+                                   return true;
+                                 }),
+                  set.end());
+        if (set.empty()) return false;
       }
-      if (forward.empty()) continue;
-      auto& set = out->phi.mutable_set(u);
-      auto keep_end = std::remove_if(set.begin(), set.end(), [&](VertexId v) {
-        for (VertexId uprime : forward) {
-          if (!IntersectNonEmpty(data.Neighbors(v), out->phi.set(uprime))) {
-            return true;
-          }
-        }
-        return false;
-      });
-      set.erase(keep_end, set.end());
-      if (set.empty()) return;
     }
   }
+  return true;
+}
+
+void CflMatcher::FilterInto(const Graph& query, const Graph& data,
+                            MatchWorkspace& w, CpiData* out) const {
+  if (!CflCandidatesInto(query, data, options_, w, &out->tree, &out->phi)) {
+    return;
+  }
+  const uint32_t n = query.NumVertices();
+  const BfsTree& tree = out->tree;
 
   // --- CPI edges along tree edges ----------------------------------------
   // For each non-root u and each candidate of parent(u), record the indices
@@ -355,7 +355,7 @@ void CflMatcher::FilterInto(const Graph& query, const Graph& data,
   for (uint32_t i = 0; i < n; ++i) {
     const VertexId u = tree.order[i];
     auto& per_parent = out->children[u];
-    if (u == root) {
+    if (u == tree.root) {
       per_parent.clear();
       continue;
     }
@@ -379,7 +379,8 @@ void CflMatcher::FilterInto(const Graph& query, const Graph& data,
 std::unique_ptr<FilterData> CflMatcher::Filter(const Graph& query,
                                                const Graph& data) const {
   auto out = std::make_unique<CpiData>();
-  FilterInto(query, data, /*ws=*/nullptr, out.get());
+  MatchWorkspace local;
+  FilterInto(query, data, local, out.get());
   return out;
 }
 
@@ -387,7 +388,7 @@ FilterData* CflMatcher::Filter(const Graph& query, const Graph& data,
                                MatchWorkspace* ws) const {
   SGQ_CHECK(ws != nullptr);
   CpiData* out = ws->AcquireFilterData<CpiData>();
-  FilterInto(query, data, ws, out);
+  FilterInto(query, data, *ws, out);
   return out;
 }
 

@@ -1,17 +1,21 @@
 // CFL [1] as a preprocessing-enumeration matcher (Section III-B).
 //
-// Filter ("CPI construction"): build a BFS tree q_t of the query rooted at
-// the core vertex minimizing |candidates| / degree, then
-//   (1) top-down candidate generation level by level with backward pruning
-//       on all edges to already-processed vertices, and
-//   (2) bottom-up refinement along q_t,
-// producing a complete candidate vertex set Φ plus candidate adjacency
-// along the tree edges (the CPI).
+// Filter, in two steps:
+//   * the Φ step (CflCandidatesInto): build a BFS tree q_t of the query
+//     rooted at the core vertex minimizing |candidates| / degree, then
+//       (1) top-down candidate generation level by level with backward
+//           pruning on all edges to already-processed vertices, and
+//       (2) bottom-up refinement along q_t,
+//     producing a complete candidate vertex set Φ. CFQL runs this step
+//     alone: GraphQL's enumeration reads nothing but Φ.
+//   * the CPI step (CFL only): candidate adjacency along the tree edges and
+//     the path-based matching order, which with Φ make up the CPI.
 //
-// Enumerate: backtracking along a path-based order that prioritizes the
-// 2-core of the query and cheap (low estimated cardinality) tree paths;
-// candidates of a non-root vertex are drawn from the CPI children of its
-// parent's image, with non-tree edges checked against the data graph.
+// Enumerate: backtracking along the path-based order, which prioritizes
+// the 2-core of the query and cheap (low estimated cardinality) tree
+// paths; candidates of a non-root vertex are drawn from the CPI children
+// of its parent's image, with non-tree edges checked against the data
+// graph.
 #ifndef SGQ_MATCHING_CFL_H_
 #define SGQ_MATCHING_CFL_H_
 
@@ -40,8 +44,17 @@ struct CpiData : public FilterData {
   // Path-based matching order; tree parents always precede children.
   std::vector<VertexId> matching_order;
 
-  size_t MemoryBytes() const override;
+ protected:
+  size_t Footprint(bool retained) const override;
 };
+
+// The Φ step of CFL's filter: fills `phi` (recycling its buffers) and
+// `tree`, the BFS tree Φ was built along, drawing |V(G)|-sized scratch from
+// `ws`. Returns false as soon as some Φ(u) comes out empty; later sets are
+// then left unfilled. Each Φ(u) is sorted ascending.
+bool CflCandidatesInto(const Graph& query, const Graph& data,
+                       const CflOptions& options, MatchWorkspace& ws,
+                       BfsTree* tree, CandidateSets* phi);
 
 class CflMatcher : public Matcher {
  public:
@@ -68,9 +81,9 @@ class CflMatcher : public Matcher {
   const CflOptions& options() const { return options_; }
 
  private:
-  // The shared CPI-construction body: fills `out` in place (recycling its
-  // nested buffers), drawing |V(G)|-sized scratch from `ws` when given.
-  void FilterInto(const Graph& query, const Graph& data, MatchWorkspace* ws,
+  // The Φ step, then the CPI step: fills `out` in place (recycling its
+  // nested buffers), drawing |V(G)|-sized scratch from `ws`.
+  void FilterInto(const Graph& query, const Graph& data, MatchWorkspace& ws,
                   CpiData* out) const;
 
   CflOptions options_;

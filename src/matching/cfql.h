@@ -1,7 +1,8 @@
 // CFQL (Section III-B): the paper's hybrid vcFV algorithm — the Filter of
-// CFL (fast CPI-based candidate construction) combined with the Verify of
-// GraphQL (join-based ordering + backtracking over Φ), taking advantage of
-// CFL's cheaper filtering and GraphQL's more robust ordering.
+// CFL combined with the Verify of GraphQL (join-based ordering +
+// backtracking over Φ), taking advantage of CFL's cheaper filtering and
+// GraphQL's more robust ordering. GraphQL's enumeration reads only Φ, so
+// the filter runs CFL's Φ step alone and builds none of the CPI.
 #ifndef SGQ_MATCHING_CFQL_H_
 #define SGQ_MATCHING_CFQL_H_
 
@@ -15,20 +16,15 @@ namespace sgq {
 class CfqlMatcher : public Matcher {
  public:
   explicit CfqlMatcher(CflOptions filter_options = {})
-      : cfl_(filter_options) {}
+      : filter_options_(filter_options) {}
 
   const char* name() const override { return "CFQL"; }
 
-  // CFL's preprocessing phase (returns a CpiData; the CPI edges are unused
-  // by the GraphQL-style enumeration, only Φ is).
+  // CFL's Φ step (CflCandidatesInto) into a plain FilterData.
   std::unique_ptr<FilterData> Filter(const Graph& query,
-                                     const Graph& data) const override {
-    return cfl_.Filter(query, data);
-  }
+                                     const Graph& data) const override;
   FilterData* Filter(const Graph& query, const Graph& data,
-                     MatchWorkspace* ws) const override {
-    return cfl_.Filter(query, data, ws);
-  }
+                     MatchWorkspace* ws) const override;
 
   EnumerateResult Enumerate(const Graph& query, const Graph& data,
                             const FilterData& data_aux, uint64_t limit,
@@ -42,7 +38,7 @@ class CfqlMatcher : public Matcher {
                                 nullptr) const override;
 
  private:
-  CflMatcher cfl_;
+  CflOptions filter_options_;
 };
 
 }  // namespace sgq

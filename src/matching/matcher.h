@@ -41,8 +41,18 @@ struct FilterData {
   // out without verification (Proposition III.1).
   bool Passed() const { return phi.AllNonEmpty(); }
 
-  // Footprint of the auxiliary structures (paper's memory-cost metric).
-  virtual size_t MemoryBytes() const { return phi.MemoryBytes(); }
+  // Footprint of the auxiliary structures (paper's memory-cost metric):
+  // what this Filter() call built, counted by element, so a FilterData
+  // recycled through a MatchWorkspace reports what a fresh one would.
+  size_t MemoryBytes() const { return Footprint(/*retained=*/false); }
+  // Heap capacity held, including buffers kept from earlier calls.
+  size_t RetainedBytes() const { return Footprint(/*retained=*/true); }
+
+ protected:
+  // Subclasses add their auxiliary structures (see VectorBytes).
+  virtual size_t Footprint(bool retained) const {
+    return phi.MemoryBytes(retained);
+  }
 };
 
 // Counters reported by one Enumerate() call. The intersect_* fields account
@@ -91,8 +101,7 @@ class Matcher {
   virtual FilterData* Filter(const Graph& query, const Graph& data,
                              MatchWorkspace* ws) const;
 
-  // Enumeration phase over a FilterData produced by this matcher's Filter()
-  // (CFQL is the deliberate exception: it enumerates over CFL's output).
+  // Enumeration phase over a FilterData produced by this matcher's Filter().
   // Stops after `limit` embeddings or when the deadline expires.
   virtual EnumerateResult Enumerate(const Graph& query, const Graph& data,
                                     const FilterData& data_aux, uint64_t limit,

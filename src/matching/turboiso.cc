@@ -8,15 +8,15 @@
 
 namespace sgq {
 
-size_t TurboIsoData::MemoryBytes() const {
-  size_t bytes = phi.MemoryBytes();
-  bytes += tree.parent.capacity() * sizeof(VertexId) +
-           tree.level.capacity() * sizeof(uint32_t) +
-           tree.order.capacity() * sizeof(VertexId);
+size_t TurboIsoData::Footprint(bool retained) const {
+  size_t bytes = phi.MemoryBytes(retained);
+  bytes += VectorBytes(tree.parent, retained) +
+           VectorBytes(tree.level, retained) +
+           VectorBytes(tree.order, retained);
   for (const CandidateRegion& region : regions) {
-    bytes += region.candidates.capacity() * sizeof(std::vector<VertexId>);
+    bytes += VectorBytes(region.candidates, retained);
     for (const auto& set : region.candidates) {
-      bytes += set.capacity() * sizeof(VertexId);
+      bytes += VectorBytes(set, retained);
     }
   }
   return bytes;

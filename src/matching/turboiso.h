@@ -44,7 +44,8 @@ struct TurboIsoData : public FilterData {
   BfsTree tree;
   std::vector<CandidateRegion> regions;
 
-  size_t MemoryBytes() const override;
+ protected:
+  size_t Footprint(bool retained) const override;
 };
 
 class TurboIsoMatcher : public Matcher {

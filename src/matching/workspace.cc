@@ -4,7 +4,7 @@ namespace sgq {
 
 size_t MatchWorkspace::MemoryBytes() const {
   size_t bytes = 0;
-  if (filter_data_ != nullptr) bytes += filter_data_->MemoryBytes();
+  if (filter_data_ != nullptr) bytes += filter_data_->RetainedBytes();
   bytes += backward_neighbors.capacity() * sizeof(std::vector<VertexId>);
   for (const auto& v : backward_neighbors) {
     bytes += v.capacity() * sizeof(VertexId);
@@ -28,7 +28,6 @@ size_t MatchWorkspace::MemoryBytes() const {
   bytes += order_pos.capacity() * sizeof(uint32_t);
   bytes += vertex_counts.capacity() * sizeof(uint32_t);
   bytes += index_of.capacity() * sizeof(uint32_t);
-  bytes += scratch_candidates.capacity() * sizeof(VertexId);
   return bytes;
 }
 

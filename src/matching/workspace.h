@@ -93,7 +93,9 @@ class MatchWorkspace {
   // Epoch-stamped "data vertex already matched" marker: v is used iff
   // used_stamp[v] == used_epoch. Bumping the epoch (BeginUsedEpoch) clears
   // the whole array in O(1), so per-enumeration setup no longer scales with
-  // |V(G)| the way the old `used.assign(NumVertices, 0)` did.
+  // |V(G)| the way the old `used.assign(NumVertices, 0)` did. CFL's
+  // bottom-up refinement borrows it before enumeration starts, stamping
+  // one Φ(u') per epoch as a membership set.
   std::vector<uint32_t> used_stamp;
 
   // Per-depth Φ(order[depth]) membership rows for the intersection-based
@@ -140,13 +142,11 @@ class MatchWorkspace {
   // --- filtering scratch ---------------------------------------------------
   // GraphQL's membership bitmap.
   std::vector<uint8_t> byte_matrix;
-  // CFL: visit-order positions, backward-prune counters, candidate-index map.
+  // CFL: visit-order positions, backward-prune counters, and (CPI step
+  // only) the candidate-index map.
   std::vector<uint32_t> order_pos;
   std::vector<uint32_t> vertex_counts;
   std::vector<uint32_t> index_of;
-  // Pre-filtered label-bucket slice from the vertex candidate index (CFL's
-  // top-down pass on indexed data graphs); valid within one query vertex.
-  std::vector<VertexId> scratch_candidates;
 
  private:
   std::unique_ptr<FilterData> filter_data_;

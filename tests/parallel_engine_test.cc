@@ -64,6 +64,39 @@ TEST(ParallelVcfvTest, AnswersSortedAndStatsConsistent) {
   EXPECT_EQ(engine->IndexMemoryBytes(), 0u);
 }
 
+// aux_memory_bytes counts what the filter built for this query, not the
+// capacity a recycled workspace kept from earlier ones: repeated parallel
+// runs (graphs land on different workers each time) and a serial engine
+// that first answered a larger query all report one figure.
+TEST(ParallelVcfvTest, AuxMemoryIndependentOfWorkspaceHistory) {
+  const GraphDatabase db = MakeDb(3, 120);
+  Rng rng(11);
+  Graph q;
+  Graph larger;
+  ASSERT_TRUE(GenerateQuery(db, QueryKind::kSparse, 4, &rng, &q));
+  ASSERT_TRUE(GenerateQuery(db, QueryKind::kDense, 12, &rng, &larger));
+
+  EngineConfig config;
+  config.parallel_threads = 4;
+  config.parallel_chunk = 1;
+  auto parallel = MakeEngine("CFQL-parallel", config);
+  ASSERT_TRUE(parallel->Prepare(db, Deadline::Infinite()));
+  const QueryResult first = parallel->Query(q);
+  parallel->Query(larger);
+  const QueryResult second = parallel->Query(q);
+  EXPECT_GT(first.stats.aux_memory_bytes, 0u);
+  EXPECT_EQ(first.stats.aux_memory_bytes, second.stats.aux_memory_bytes);
+
+  auto fresh = MakeEngine("CFQL");
+  ASSERT_TRUE(fresh->Prepare(db, Deadline::Infinite()));
+  auto warmed = MakeEngine("CFQL");
+  ASSERT_TRUE(warmed->Prepare(db, Deadline::Infinite()));
+  warmed->Query(larger);
+  const size_t serial = fresh->Query(q).stats.aux_memory_bytes;
+  EXPECT_EQ(warmed->Query(q).stats.aux_memory_bytes, serial);
+  EXPECT_EQ(first.stats.aux_memory_bytes, serial);
+}
+
 class CollectSink : public ResultSink {
  public:
   bool OnAnswer(GraphId id) override {
