@@ -1,11 +1,11 @@
 // Microbenchmarks (google-benchmark) for the massive-single-graph path:
 // cold database load (text parse vs mmap CSR snapshot), candidate-index
 // construction, first-level candidate generation (full label-bucket scan
-// vs degree/signature-sliced index probe), and end-to-end enumeration over
-// the indexed graph with CFL and CFQL. The snapshot-load and indexed-probe
-// rows carry the counters the acceptance gate reads: `load_speedup_vs_text`
-// and `candidate_reduction` (bucket entries a full scan touches per entry
-// the index examines).
+// vs degree/signature-sliced index probe), CFQL's filter alone, and
+// end-to-end enumeration over the indexed graph with CFL and CFQL. The
+// snapshot-load and indexed-probe rows carry the counters the acceptance
+// gate reads: `load_speedup_vs_text` and `candidate_reduction` (bucket
+// entries a full scan touches per entry the index examines).
 //
 // Graph scale is env-tunable so CI smoke runs stay cheap:
 //   SGQ_BIGGRAPH_VERTICES   (default 131072)
@@ -30,6 +30,8 @@
 #include "graph/graph_io.h"
 #include "graph/graph_utils.h"
 #include "index/vertex_candidate_index.h"
+#include "matching/cfql.h"
+#include "matching/workspace.h"
 #include "query/engine_factory.h"
 
 namespace {
@@ -215,9 +217,9 @@ void BM_FirstLevelIndexed(benchmark::State& state) {
         out.clear();
         const uint64_t sig =
             VertexCandidateIndex::SignatureOf(q.NeighborLabels(u));
-        // Only the degree-slice + signature survivors pay the exact NLF
-        // check (and only what passes it is sorted); the full scan walks
-        // the whole bucket.
+        // Written as LdfNlfCandidatesInto's indexed path (the root's
+        // candidates): only the degree-slice + signature survivors pay the
+        // exact NLF check; the full scan walks the whole bucket.
         index->CollectCandidates(
             q.label(u), q.degree(u), sig,
             [&](VertexId v) {
@@ -240,6 +242,29 @@ void BM_FirstLevelIndexed(benchmark::State& state) {
   state.counters["candidates_kept"] = static_cast<double>(kept);
 }
 BENCHMARK(BM_FirstLevelIndexed)->Unit(benchmark::kMillisecond);
+
+// CFQL's filter alone (root, BFS tree, bitmap top-down, bottom-up) into
+// one recycled workspace: the share of the biggraph serving cost that the
+// Φ step owns. With the index, only root selection and the root's
+// candidates read it.
+void BM_CfqlFilter(benchmark::State& state) {
+  Graph g = BigGraphFixture::Get().db.graph(0);
+  if (state.range(0) != 0) g.SetCandidateIndex(VertexCandidateIndex::Build(g));
+  const std::vector<Graph> queries = BenchQueries();
+  const CfqlMatcher cfql;
+  MatchWorkspace ws;
+  uint64_t candidates = 0;
+  for (auto _ : state) {
+    candidates = 0;
+    for (const Graph& q : queries) {
+      candidates += cfql.Filter(q, g, &ws)->phi.TotalCandidates();
+    }
+  }
+  state.counters["candidates"] = static_cast<double>(candidates);
+  state.SetItemsProcessed(state.iterations() * queries.size());
+}
+BENCHMARK(BM_CfqlFilter)->Arg(0)->Arg(1)->ArgName("index")->Unit(
+    benchmark::kMillisecond);
 
 // End-to-end queries through one engine: CFL (Φ + CPI) or CFQL (Φ only,
 // the engine the biggraph serving workload runs).

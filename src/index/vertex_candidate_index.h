@@ -1,13 +1,14 @@
 // Degree/label-partitioned candidate index for massive single data graphs.
 //
-// The candidate generators (matching/candidate_space.h, CFL's top-down
-// pass) all start from "every data vertex with label(u)" and filter by
-// degree and neighbor-label profile. On an AIDS-style database of small
-// graphs that scan is a handful of vertices; on one social-network-scale
-// graph a popular label's bucket holds millions, and the O(bucket) scan per
-// query vertex dominates filtering. This index — in the spirit of CNI
-// ("Compact Neighborhood Index for Subgraph Queries in Massive Graphs") —
-// re-partitions each label bucket for the two filters:
+// The first-level candidate generator (LdfNlfCandidatesInto in
+// matching/candidate_space.h, which also gives CFL its root candidates)
+// and CFL's root selection start from "every data vertex with label(u)"
+// and filter by degree and neighbor-label profile. On an AIDS-style
+// database of small graphs that scan is a handful of vertices; on one
+// social-network-scale graph a popular label's bucket holds millions, and
+// the O(bucket) scan per query vertex dominates filtering. This index — in
+// the spirit of CNI ("Compact Neighborhood Index for Subgraph Queries in
+// Massive Graphs") — re-partitions each label bucket for the two filters:
 //
 //   * entries within a bucket are sorted by degree (ties by id), so the LDF
 //     lower bound `degree >= degree(u)` becomes a binary search that slices
@@ -54,11 +55,11 @@ class VertexCandidateIndex {
   // Appends to *out every vertex with label `l`, degree >= `min_degree`, a
   // signature superset of `sig`, and keep(v) true, in ascending id order.
   // The degree slice is walked in index order and only the survivors are
-  // sorted, so a selective `keep` (the exact NLF test, CFL's backward-
-  // pruning count) spares the sort everything it rejects. Returns the
-  // number of index entries examined after the degree slice (the bucket
-  // suffix length) — the cost the full scan would have paid is the whole
-  // bucket, so callers can report the reduction.
+  // sorted, so a selective `keep` (the exact NLF test) spares the sort
+  // everything it rejects. Returns the number of index entries examined
+  // after the degree slice (the bucket suffix length) — the cost the full
+  // scan would have paid is the whole bucket, so callers can report the
+  // reduction.
   template <typename Keep>
   size_t CollectCandidates(Label l, uint32_t min_degree, uint64_t sig,
                            Keep&& keep, std::vector<VertexId>* out) const {

@@ -248,12 +248,16 @@ bool CflCandidatesInto(const Graph& query, const Graph& data,
   for (uint32_t i = 0; i < n; ++i) order_pos[tree.order[i]] = i;
 
   // --- Top-down generation with backward pruning ------------------------
-  // cnt[w] counts how many backward neighbors of the current query vertex
-  // have a candidate adjacent to w; incremented only when cnt[w] == k while
-  // processing the k-th backward neighbor, which both dedups per-neighbor
-  // contributions and intersects across neighbors.
-  std::vector<uint32_t>& cnt = w.vertex_counts;
-  cnt.assign(data.NumVertices(), 0);
+  // For each backward neighbor u' of u, N(Φ(u')) is OR-ed into a word
+  // bitmap over V(G) (`hit`, or `acc` for the first); `acc` keeps the
+  // word-wise AND across them. The id-ordered label bucket is then walked
+  // against `acc`, so Φ(u) comes out sorted. Both bitmaps are cleared
+  // before they are filled, so nothing carries over between calls.
+  const size_t words = (static_cast<size_t>(data.NumVertices()) + 63) / 64;
+  if (w.acc_bits.size() < words) w.acc_bits.resize(words);
+  if (w.hit_bits.size() < words) w.hit_bits.resize(words);
+  uint64_t* const acc = w.acc_bits.data();
+  uint64_t* const hit = w.hit_bits.data();
   std::vector<VertexId> backward;
   for (uint32_t i = 0; i < n; ++i) {
     const VertexId u = tree.order[i];
@@ -268,40 +272,22 @@ bool CflCandidatesInto(const Graph& query, const Graph& data,
       if (order_pos[v] < i) backward.push_back(v);
     }
     SGQ_CHECK(!backward.empty());
-    std::fill(cnt.begin(), cnt.end(), 0);
-    uint32_t k = 0;
-    for (VertexId uprime : backward) {
-      for (VertexId vprime : phi->set(uprime)) {
+    for (size_t k = 0; k < backward.size(); ++k) {
+      uint64_t* const bits = k == 0 ? acc : hit;
+      std::fill(bits, bits + words, 0);
+      for (VertexId vprime : phi->set(backward[k])) {
         for (VertexId v : data.Neighbors(vprime)) {
-          if (cnt[v] == k) ++cnt[v];
+          bits[v >> 6] |= uint64_t{1} << (v & 63);
         }
       }
-      ++k;
+      if (k > 0) {
+        for (size_t x = 0; x < words; ++x) acc[x] &= hit[x];
+      }
     }
-    if (const auto* index = data.candidate_index()) {
-      // Indexed path: the degree slice + signature filter shrink the label
-      // bucket before the cnt/NLF checks, and only the survivors are sorted
-      // back into ascending id order, matching the full-scan path bit for
-      // bit (the exact NLF predicate is checked on each survivor).
-      const uint64_t sig =
-          options.use_nlf
-              ? VertexCandidateIndex::SignatureOf(query.NeighborLabels(u))
-              : 0;
-      index->CollectCandidates(
-          query.label(u), query.degree(u), sig,
-          [&](VertexId v) {
-            return cnt[v] == k &&
-                   (!options.use_nlf ||
-                    SortedMultisetContains(data.NeighborLabels(v),
-                                           query.NeighborLabels(u)));
-          },
-          &set);
-    } else {
-      for (VertexId v : data.VerticesWithLabel(query.label(u))) {
-        if (cnt[v] == k &&
-            PassesDegreeNlf(query, data, u, v, options.use_nlf)) {
-          set.push_back(v);
-        }
+    for (VertexId v : data.VerticesWithLabel(query.label(u))) {
+      if ((acc[v >> 6] >> (v & 63) & 1) != 0 &&
+          PassesDegreeNlf(query, data, u, v, options.use_nlf)) {
+        set.push_back(v);
       }
     }
     if (set.empty()) return false;
@@ -310,26 +296,29 @@ bool CflCandidatesInto(const Graph& query, const Graph& data,
   // --- Bottom-up refinement ---------------------------------------------
   // Keep v in Φ(u) only if every forward neighbor u' has a candidate
   // adjacent to v. Forward vertices come earlier in this reverse sweep, so
-  // Φ(u') is already refined. Φ(u') is stamped once into the workspace's
-  // used_stamp under a fresh epoch, and v survives iff some w ∈ N(v)
-  // carries the stamp: a scan that stops at the first hit.
+  // Φ(u') is already refined. Φ(u') is stamped into `hit` and v survives
+  // iff some w ∈ N(v) carries the stamp: a scan that stops at the first
+  // hit. Only the stamped words are cleared again afterwards.
   if (options.refine_bottom_up) {
-    std::vector<uint32_t>& stamp = w.used_stamp;
+    std::fill(hit, hit + words, 0);
     for (uint32_t i = n; i-- > 0;) {
       const VertexId u = tree.order[i];
       auto& set = phi->mutable_set(u);
       for (VertexId uprime : query.Neighbors(u)) {
         if (order_pos[uprime] < i) continue;
-        const uint32_t epoch = w.BeginUsedEpoch(data.NumVertices());
-        for (VertexId v : phi->set(uprime)) stamp[v] = epoch;
+        const auto& stamped = phi->set(uprime);
+        for (VertexId v : stamped) hit[v >> 6] |= uint64_t{1} << (v & 63);
         set.erase(std::remove_if(set.begin(), set.end(),
                                  [&](VertexId v) {
                                    for (VertexId x : data.Neighbors(v)) {
-                                     if (stamp[x] == epoch) return false;
+                                     if ((hit[x >> 6] >> (x & 63) & 1) != 0) {
+                                       return false;
+                                     }
                                    }
                                    return true;
                                  }),
                   set.end());
+        for (VertexId v : stamped) hit[v >> 6] = 0;
         if (set.empty()) return false;
       }
     }

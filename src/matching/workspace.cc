@@ -26,7 +26,7 @@ size_t MatchWorkspace::MemoryBytes() const {
   bytes += term_data.capacity() * sizeof(uint32_t);
   bytes += byte_matrix.capacity();
   bytes += order_pos.capacity() * sizeof(uint32_t);
-  bytes += vertex_counts.capacity() * sizeof(uint32_t);
+  bytes += (hit_bits.capacity() + acc_bits.capacity()) * sizeof(uint64_t);
   bytes += index_of.capacity() * sizeof(uint32_t);
   return bytes;
 }

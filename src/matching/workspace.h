@@ -93,9 +93,7 @@ class MatchWorkspace {
   // Epoch-stamped "data vertex already matched" marker: v is used iff
   // used_stamp[v] == used_epoch. Bumping the epoch (BeginUsedEpoch) clears
   // the whole array in O(1), so per-enumeration setup no longer scales with
-  // |V(G)| the way the old `used.assign(NumVertices, 0)` did. CFL's
-  // bottom-up refinement borrows it before enumeration starts, stamping
-  // one Φ(u') per epoch as a membership set.
+  // |V(G)| the way the old `used.assign(NumVertices, 0)` did.
   std::vector<uint32_t> used_stamp;
 
   // Per-depth Φ(order[depth]) membership rows for the intersection-based
@@ -142,10 +140,14 @@ class MatchWorkspace {
   // --- filtering scratch ---------------------------------------------------
   // GraphQL's membership bitmap.
   std::vector<uint8_t> byte_matrix;
-  // CFL: visit-order positions, backward-prune counters, and (CPI step
-  // only) the candidate-index map.
+  // CFL: visit-order positions, the two |V(G)|-bit word bitmaps of the Φ
+  // step (top-down: `hit` holds N(Φ(u')) for one backward neighbor u' and
+  // `acc` the AND over all of them; bottom-up: `hit` stamps one Φ(u')),
+  // and (CPI step only) the candidate-index map. The bitmaps only grow; the
+  // Φ step clears what it reads before filling it.
   std::vector<uint32_t> order_pos;
-  std::vector<uint32_t> vertex_counts;
+  std::vector<uint64_t> hit_bits;
+  std::vector<uint64_t> acc_bits;
   std::vector<uint32_t> index_of;
 
  private:

@@ -89,19 +89,36 @@ void LineServer::AcceptLoop() {
       break;
     }
     if (fds[0].revents == 0) continue;
+    // A finished connection's thread keeps its stack mapped until it is
+    // joined, so reap before adding another: the threads held stay bounded
+    // by the live connections, not by every connection ever served.
+    ReapFinishedConnections();
     UniqueFd conn = AcceptConnection(listener_.get());
     if (!conn.valid()) continue;
-    connections_.emplace_back(&LineServer::HandleConnection, this,
-                              std::move(conn));
+    auto connection = std::make_unique<Connection>();
+    Connection* raw = connection.get();
+    raw->thread = std::thread([this, raw, fd = std::move(conn)]() mutable {
+      HandleConnection(std::move(fd));
+      raw->done.store(true, std::memory_order_release);
+    });
+    connections_.push_back(std::move(connection));
   }
   // Graceful teardown: no new connections, drain every admitted request
   // (connection threads blocked on one get their responses), then wait for
   // the connection threads to flush and exit.
   listener_.Reset();
   dispatcher_->Drain();
-  for (std::thread& connection : connections_) connection.join();
+  for (auto& connection : connections_) connection->thread.join();
   connections_.clear();
   if (!config_.unix_path.empty()) ::unlink(config_.unix_path.c_str());
+}
+
+void LineServer::ReapFinishedConnections() {
+  std::erase_if(connections_, [](const std::unique_ptr<Connection>& c) {
+    if (!c->done.load(std::memory_order_acquire)) return false;
+    c->thread.join();
+    return true;
+  });
 }
 
 void LineServer::HandleConnection(UniqueFd fd) {

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -76,7 +77,16 @@ class LineServer {
   void Wait();
 
  private:
+  // One connection thread; `done` flips after HandleConnection returned and
+  // its socket closed, so the accept thread can join it without blocking.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   void AcceptLoop();
+  // Joins and drops every finished connection (accept thread only).
+  void ReapFinishedConnections();
   void HandleConnection(UniqueFd fd);
 
   const ListenConfig config_;
@@ -85,7 +95,7 @@ class LineServer {
   UniqueFd stop_pipe_rd_, stop_pipe_wr_;
   std::atomic<bool> stopping_{false};
   uint16_t port_ = 0;
-  std::vector<std::thread> connections_;  // accept thread only
+  std::vector<std::unique_ptr<Connection>> connections_;  // accept thread only
   std::thread accept_thread_;
 };
 
